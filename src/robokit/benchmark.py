@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RobotConfig
+from .control import DEFAULT_CONTROLLER, tracking_law
 from .errors import IkConvergenceError
 from .geometry import SE3, Pose2D, angle_diff, planar_distance
 from .kinematics import inverse_kinematics
@@ -275,20 +276,16 @@ class TrackingReport:
 
 
 def run_tracking_benchmark(config: RobotConfig, backend, shape="circle",
-                           radius: float = 0.4, controller: str = "lqr",
+                           radius: float = 0.4, controller: str = DEFAULT_CONTROLLER,
                            master_seed: int = 0,
                            trajectory: TimedTrajectory | None = None) -> TrackingReport:
-    """Track a reference (a circle of the given radius, or an explicit trajectory)."""
-    if controller not in ("lqr", "proportional"):
-        raise KeyError(f"tracking supports lqr|proportional, got {controller!r}")
-    if trajectory is not None:
-        ref = trajectory
-    elif shape == "circle":
+    """Track a reference: a circle of the given radius, or an explicit `trajectory`."""
+    tracking_law(controller)  # raises KeyError for controllers that cannot track
+    ref = trajectory
+    if ref is None:
+        if shape != "circle":
+            raise ValueError(f"unknown shape {shape!r}; pass other references as trajectory=")
         ref = circle_trajectory(radius, config.benchmark.tracking_speed, config.base.dt)
-    else:  # a trajectory file path (see trajectory.save_trajectory)
-        from .trajectory import load_trajectory
-
-        ref = load_trajectory(shape)
     robot = make_robot(config, backend)
     log = robot.base.track_trajectory(ref, controller)
     errs = cross_track_errors(log, ref)

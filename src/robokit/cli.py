@@ -19,6 +19,7 @@ from .backends import SimBackend, sim_backend_factory
 from .benchmark import (default_protocols, run_arm_repeatability, run_base_benchmark,
                         run_tracking_benchmark)
 from .config import load_config, load_scene, bundled_config_dir
+from .control import CONTROLLERS, DEFAULT_CONTROLLER, TRACKING_CONTROLLERS
 from .errors import ConfigError, NoClustersError, NoPathError, RobokitError
 from .geometry import Pose2D
 from .planning import OccupancyGrid, plan_global
@@ -28,8 +29,8 @@ from .robot import make_robot
 from .skills import ImageGrasp, backproject_grasp, execute_grasp, push_pipeline
 
 DEFAULT_SEED = 7
-CONTROLLER_ALIASES = {"prop": "proportional", "lqr": "lqr", "dwa": "dwa",
-                      "proportional": "proportional"}
+CONTROLLER_ALIASES = {"prop": "proportional"}   # CLI spelling -> registered name
+_CLI_NAMES = {name: alias for alias, name in CONTROLLER_ALIASES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     bb = bsub.add_parser("base", help="base position-control accuracy trials")
     _add_common(bb)
     bb.add_argument("--controller", default="all",
-                    choices=["lqr", "prop", "dwa", "all"],
+                    choices=[_CLI_NAMES.get(c, c) for c in CONTROLLERS] + ["all"],
                     help="controller to benchmark (default: all)")
     bb.add_argument("--trials", type=int, default=5,
                     help="trials per target, count (default: 5)")
@@ -111,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reference shape (default: circle)")
     tr.add_argument("--radius", type=float, default=0.4,
                     help="circle radius, m (default: 0.4)")
-    tr.add_argument("--controller", default="lqr", choices=["lqr", "prop"],
-                    help="tracking controller (default: lqr)")
+    tr.add_argument("--controller", default=DEFAULT_CONTROLLER,
+                    choices=[_CLI_NAMES.get(c, c) for c in TRACKING_CONTROLLERS],
+                    help=f"tracking controller (default: {DEFAULT_CONTROLLER})")
     tr.add_argument("--zero-noise", action="store_true",
                     help="disable all simulator noise")
 
@@ -155,8 +157,8 @@ def _load_config_checked(args):
 
 def cmd_bench_base(args) -> int:
     cfg = _load_config_checked(args)
-    controllers = (("lqr", "proportional", "dwa") if args.controller == "all"
-                   else (CONTROLLER_ALIASES[args.controller],))
+    controllers = (tuple(CONTROLLERS) if args.controller == "all"
+                   else (CONTROLLER_ALIASES.get(args.controller, args.controller),))
     factory = sim_backend_factory(cfg, zero_noise=args.zero_noise)
     report = run_base_benchmark(cfg, factory, controllers,
                                 default_protocols(args.trials), master_seed=args.seed)
@@ -184,7 +186,8 @@ def cmd_track(args) -> int:
         raise SystemExit1("--radius must be positive")
     backend = SimBackend(cfg, seed=args.seed, zero_noise=args.zero_noise)
     report = run_tracking_benchmark(cfg, backend, shape=args.shape, radius=args.radius,
-                                    controller=CONTROLLER_ALIASES[args.controller],
+                                    controller=CONTROLLER_ALIASES.get(args.controller,
+                                                                      args.controller),
                                     master_seed=args.seed)
     out = _out_dir(args, "track")
     write_tracking_report(report, out)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .control import CostWeights, DwaParams, ProportionalParams
+from .control import CONTROLLERS, DwaParams, LqrParams, ProportionalParams
 from .errors import ConfigError
 from .geometry import SE3
 from .kinematics import IkParams, Joint, KinematicChain
@@ -29,57 +29,24 @@ from .trajectory import VelocityLimits
 
 SCHEMA_VERSION = 1
 SUBSYSTEMS = ("arm", "base", "camera", "gripper")
-CONTROLLERS = ("proportional", "lqr", "dwa")
 
+# YAML defaults per controller parameter type (angles in degrees)
 _CONTROLLER_DEFAULTS = {
-    "proportional": {
+    ProportionalParams: {
         "kp_lin": 1.0, "kp_ang": 3.0,
         "bearing_threshold_deg": 2.0, "distance_threshold": 0.005,
         "heading_threshold_deg": 0.5,
     },
-    "lqr": {
+    LqrParams: {
         "q": [5.0, 5.0, 1.0], "r": [1.0, 0.5], "qf_scale": 10.0, "trajectory": "sharp",
     },
-    "dwa": {
+    DwaParams: {
         "samples_v": 11, "samples_omega": 21, "horizon": 1.5,
         "weight_heading": 0.8, "weight_distance": 0.2,
         "weight_velocity": 0.1, "weight_clearance": 0.3,
         "position_tolerance": 0.015, "heading_tolerance_deg": 1.5,
     },
 }
-
-_IK_DEFAULTS = {
-    "position_tolerance": 1e-6, "orientation_tolerance": 1e-6,
-    "max_iterations": 200, "damping": 0.05, "step_clamp": 0.5, "restarts": 3,
-}
-
-_SKILL_DEFAULTS = {
-    "z_floor": 0.02, "max_range": 1.0,
-    "dbscan_eps": 0.03, "dbscan_min_pts": 10,
-    "pregrasp_height": 0.2, "grasp_height": 0.13,
-    "pre_push_height": 0.2, "push_height": 0.13,
-}
-
-_BENCH_DEFAULTS = {
-    "repeatability_poses": [[0.25, -0.10, 0.20], [0.25, 0.10, 0.20],
-                            [0.40, -0.10, 0.20], [0.40, 0.10, 0.20]],
-    "repeatability_reps": 10,
-    "tracking_speed": 0.2,
-}
-
-
-@dataclass(frozen=True)
-class LqrParams:
-    """Diagonal tracking-cost weights plus the reference generator choice."""
-
-    q: tuple = (5.0, 5.0, 1.0)
-    r: tuple = (1.0, 0.5)
-    qf_scale: float = 10.0
-    trajectory: str = "sharp"
-
-    def weights(self) -> CostWeights:
-        return CostWeights.from_diagonals(self.q, self.r, self.qf_scale)
-
 
 @dataclass(frozen=True)
 class BaseSettings:
@@ -114,7 +81,8 @@ class SkillSettings:
 
 @dataclass(frozen=True)
 class BenchmarkSettings:
-    repeatability_poses: tuple = tuple(tuple(p) for p in _BENCH_DEFAULTS["repeatability_poses"])
+    repeatability_poses: tuple = ((0.25, -0.10, 0.20), (0.25, 0.10, 0.20),
+                                  (0.40, -0.10, 0.20), (0.40, 0.10, 0.20))
     repeatability_reps: int = 10
     tracking_speed: float = 0.2
 
@@ -207,8 +175,7 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
     for key, val in (arm.get("named_poses") or {}).items():
         named[key] = np.asarray(_vector(val, chain.dof, f"arm.named_poses.{key}"))
 
-    ik_raw = dict(_IK_DEFAULTS)
-    ik_raw.update(arm.get("ik") or {})
+    ik_raw = {**asdict(IkParams()), **(arm.get("ik") or {})}
     try:
         ik = IkParams(
             position_tolerance=float(ik_raw["position_tolerance"]),
@@ -218,7 +185,7 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
             step_clamp=float(ik_raw["step_clamp"]),
             restarts=int(ik_raw["restarts"]),
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("arm.ik", str(exc)) from None
     return chain, home, named, ik
 
@@ -247,8 +214,8 @@ def _parse_controllers(section: dict) -> dict:
         if name not in CONTROLLERS:
             raise ConfigError(f"controllers.{name}",
                               f"unknown controller; supported: {', '.join(CONTROLLERS)}")
-    for name in CONTROLLERS:
-        raw = dict(_CONTROLLER_DEFAULTS[name])
+    for name, controller in CONTROLLERS.items():
+        raw = dict(_CONTROLLER_DEFAULTS[controller.params])
         user = (section or {}).get(name) or {}
         for key in user:
             if key not in raw:
@@ -256,7 +223,7 @@ def _parse_controllers(section: dict) -> dict:
         raw.update(user)
         path = f"controllers.{name}"
         try:
-            if name == "proportional":
+            if controller.params is ProportionalParams:
                 merged[name] = ProportionalParams(
                     kp_lin=_positive(raw["kp_lin"], f"{path}.kp_lin"),
                     kp_ang=_positive(raw["kp_ang"], f"{path}.kp_ang"),
@@ -267,7 +234,7 @@ def _parse_controllers(section: dict) -> dict:
                     heading_threshold=math.radians(_positive(raw["heading_threshold_deg"],
                                                              f"{path}.heading_threshold_deg")),
                 )
-            elif name == "lqr":
+            elif controller.params is LqrParams:
                 if raw["trajectory"] not in ("sharp", "smooth"):
                     raise ConfigError(f"{path}.trajectory", "must be 'sharp' or 'smooth'")
                 merged[name] = LqrParams(
@@ -367,8 +334,7 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
     except ValueError as exc:
         raise ConfigError("noise.arm", str(exc)) from None
 
-    sk = dict(_SKILL_DEFAULTS)
-    sk.update(raw.get("skills") or {})
+    sk = {**asdict(SkillSettings()), **(raw.get("skills") or {})}
     skills = SkillSettings(
         z_floor=float(sk["z_floor"]),
         max_range=_positive(sk["max_range"], "skills.max_range"),
@@ -386,8 +352,7 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
     if skills.pre_push_height < skills.push_height:
         raise ConfigError("skills.pre_push_height", "must be >= skills.push_height")
 
-    bench_raw = dict(_BENCH_DEFAULTS)
-    bench_raw.update(raw.get("benchmark") or {})
+    bench_raw = {**asdict(BenchmarkSettings()), **(raw.get("benchmark") or {})}
     poses = tuple(tuple(_vector(p, 3, f"benchmark.repeatability_poses[{i}]"))
                   for i, p in enumerate(bench_raw["repeatability_poses"]))
     benchmark = BenchmarkSettings(

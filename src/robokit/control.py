@@ -1,27 +1,32 @@
-"""Feedback controllers for the differential-drive base.
+"""Control laws and the controller registry for the differential-drive base.
 
 Three position controllers:
 
     * proportional — phase machine (align, drive, final-rotate) commanding
-      rates proportional to the remaining error, velocity- and rate-limited
+      rates proportional to the remaining error
     * LQR — time-varying gains from a backward Riccati recursion over the
       Euler-linearized unicycle dynamics along a reference trajectory
     * DWA — samples (v, omega) pairs inside the acceleration-reachable
       window, forward-simulates them, and picks the best-scoring sample
 
-plus the trajectory-tracking step laws used by `track_trajectory`.
+Each is registered once by name in `CONTROLLERS` with its parameter type, a
+position law and, for LQR and proportional, a tracking law. A law is one step
+of a blocking motion; `robot.BaseInterface` runs every law in one control
+loop that owns the timeout and the rate limiting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ControlError
-from .geometry import Pose2D, angle_diff
-from .trajectory import ControlCommand, TimedTrajectory, VelocityLimits
+from .geometry import Pose2D, angle_diff, planar_distance
+from .trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
+                         generate_sharp_trajectory, generate_smooth_trajectory)
 
 
 # --- linearization and Riccati machinery ------------------------------------
@@ -133,6 +138,19 @@ def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> GainSchedu
     return GainSchedule(riccati_gains(A_seq, B_seq, weights.Q, weights.R, weights.Qf))
 
 
+@dataclass(frozen=True)
+class LqrParams:
+    """Diagonal tracking-cost weights plus the reference generator choice."""
+
+    q: tuple = (5.0, 5.0, 1.0)
+    r: tuple = (1.0, 0.5)
+    qf_scale: float = 10.0
+    trajectory: str = "sharp"
+
+    def weights(self) -> CostWeights:
+        return CostWeights.from_diagonals(self.q, self.r, self.qf_scale)
+
+
 def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:
     """State minus reference with the heading component wrapped to (-pi, pi]."""
     return np.array([state.x - ref.x, state.y - ref.y, angle_diff(state.theta, ref.theta)])
@@ -146,28 +164,6 @@ def lqr_track_step(state: Pose2D, t: int, traj: TimedTrajectory, gains: GainSche
     e = tracking_error(state, traj.state(t))
     u = traj.controls[t] - gains.gains[t] @ e
     return ControlCommand(u[0], u[1]).clamped(limits.v_max, limits.omega_max)
-
-
-# --- rate limiting -----------------------------------------------------------
-
-class RateLimiter:
-    """Bounds per-step command changes by the acceleration limits."""
-
-    def __init__(self, limits: VelocityLimits, dt: float):
-        self._dv = limits.a_max * dt
-        self._dw = limits.alpha_max * dt
-        self._prev = ControlCommand(0.0, 0.0)
-
-    def apply(self, cmd: ControlCommand) -> ControlCommand:
-        v = min(self._prev.v + self._dv, max(self._prev.v - self._dv, cmd.v))
-        w = min(self._prev.omega + self._dw, max(self._prev.omega - self._dw, cmd.omega))
-        out = ControlCommand(v, w)
-        self._prev = out
-        return out
-
-    @property
-    def current(self) -> ControlCommand:
-        return self._prev
 
 
 # --- proportional position controller ---------------------------------------
@@ -222,27 +218,6 @@ def proportional_step(state: Pose2D, goal: Pose2D, phase: str,
             return (ControlCommand(0.0, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
         return ControlCommand(0.0, 0.0), DONE
-
-
-class ProportionalController:
-    """Stateful wrapper: holds the phase and rate-limits consecutive commands."""
-
-    def __init__(self, goal: Pose2D, params: ProportionalParams, limits: VelocityLimits,
-                 dt: float):
-        self.goal = goal
-        self.params = params
-        self.limits = limits
-        self.phase = ALIGN
-        self._limiter = RateLimiter(limits, dt)
-
-    @property
-    def done(self) -> bool:
-        return self.phase == DONE
-
-    def step(self, state: Pose2D) -> ControlCommand:
-        cmd, self.phase = proportional_step(state, self.goal, self.phase,
-                                            self.params, self.limits)
-        return self._limiter.apply(cmd)
 
 
 # --- dynamic window approach --------------------------------------------------
@@ -357,3 +332,118 @@ def dwa_step(state: Pose2D, current_vel: ControlCommand, goal: Pose2D,
             best_key = key
             best = i
     return DwaDecision(ControlCommand(float(v[best]), float(w[best])))
+
+
+# --- control laws and the controller registry ---------------------------------
+#
+# A law is one step of a blocking motion: law(k, pose, current) gets the step
+# index, the odometric pose and the last rate-limited command, and returns the
+# next command (before rate limiting) or a str to stop: "" once the motion is
+# done, otherwise why it failed. Position-law factories take (start, goal,
+# params, limits, dt, tol, grid), with tol = (position m, heading rad);
+# tracking-law factories take (traj, params, limits).
+
+Law = Callable[[int, Pose2D, ControlCommand], "ControlCommand | str"]
+
+_K_HOLD = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.5]])  # LQR final approach without a reference
+
+
+def within_tolerance(pose: Pose2D, goal: Pose2D, tol: tuple[float, float]) -> bool:
+    return (planar_distance(pose, goal) <= tol[0]
+            and abs(angle_diff(pose.theta, goal.theta)) <= tol[1])
+
+
+def proportional_law(start, goal, params, limits, dt, tol, grid) -> Law:
+    """The rotate/drive/rotate phase machine; done when its final rotation is."""
+    phase = ALIGN
+
+    def law(k, pose, current):
+        nonlocal phase
+        cmd, phase = proportional_step(pose, goal, phase, params, limits)
+        return "" if phase == DONE else cmd
+    return law
+
+
+def lqr_law(start, goal, params, limits, dt, tol, grid) -> Law:
+    """Track a reference to the goal, then hold its last gain until within tolerance."""
+    gen = (generate_smooth_trajectory if params.trajectory == "smooth"
+           else generate_sharp_trajectory)
+    traj = gen(start, goal, limits, dt)
+    gains = lqr_backward_pass(traj, params.weights()) if traj.horizon > 0 else None
+    k_final = _K_HOLD if gains is None else gains.gains[-1]
+
+    def law(k, pose, current):
+        if k < traj.horizon:
+            return lqr_track_step(pose, k, traj, gains, limits)
+        if within_tolerance(pose, goal, tol):
+            return ""
+        u = -k_final @ tracking_error(pose, goal)
+        return ControlCommand(u[0], u[1]).clamped(limits.v_max, limits.omega_max)
+    return law
+
+
+def dwa_law(start, goal, params, limits, dt, tol, grid) -> Law:
+    """DWA until within position tolerance, then rotate in place to the goal heading."""
+    rotating = False
+
+    def law(k, pose, current):
+        nonlocal rotating
+        rotating = rotating or planar_distance(pose, goal) <= tol[0]
+        if not rotating:
+            decision = dwa_step(pose, current, goal, grid, params, limits, dt)
+            return "all DWA samples blocked" if decision.blocked else decision.command
+        err = angle_diff(goal.theta, pose.theta)
+        if abs(err) <= tol[1]:
+            return ""
+        return ControlCommand(0.0, 3.0 * err).clamped(limits.v_max, limits.omega_max)
+    return law
+
+
+def lqr_tracking_law(traj, params, limits) -> Law:
+    gains = lqr_backward_pass(traj, params.weights()) if traj.horizon > 0 else None
+
+    def law(k, pose, current):
+        return lqr_track_step(pose, k, traj, gains, limits) if k < traj.horizon else ""
+    return law
+
+
+def proportional_tracking_law(traj, params, limits) -> Law:
+    """Chase the moving reference point; adopt its heading when within 5 cm."""
+    def law(k, pose, current):
+        if k == traj.horizon:
+            return ""
+        ref = traj.state(k)
+        dist = planar_distance(pose, ref)
+        heading = math.atan2(ref.y - pose.y, ref.x - pose.x) if dist > 0.05 else ref.theta
+        return (ControlCommand(params.kp_lin * dist,
+                               params.kp_ang * angle_diff(heading, pose.theta))
+                .clamped(limits.v_max, limits.omega_max))
+    return law
+
+
+@dataclass(frozen=True)
+class Controller:
+    """A registered controller: its parameter type and law factories (None: no tracking)."""
+
+    params: type
+    position: Callable[..., Law]
+    tracking: Callable[..., Law] | None = None
+
+
+# benchmark order: "all" runs them in this order and trial seeds follow it; the
+# first is the default
+CONTROLLERS = {
+    "lqr": Controller(LqrParams, lqr_law, lqr_tracking_law),
+    "proportional": Controller(ProportionalParams, proportional_law, proportional_tracking_law),
+    "dwa": Controller(DwaParams, dwa_law),
+}
+DEFAULT_CONTROLLER = next(iter(CONTROLLERS))
+TRACKING_CONTROLLERS = tuple(name for name, c in CONTROLLERS.items() if c.tracking)
+
+
+def tracking_law(name: str) -> Callable[..., Law]:
+    """The tracking-law factory registered as `name`; KeyError when there is none."""
+    factory = CONTROLLERS[name].tracking if name in CONTROLLERS else None
+    if factory is None:
+        raise KeyError(f"tracking supports {'|'.join(TRACKING_CONTROLLERS)}, got {name!r}")
+    return factory

@@ -67,16 +67,7 @@ def planar_distance(a: Pose2D, b: Pose2D) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def heading_error(a: Pose2D, b: Pose2D) -> float:
-    """Absolute wrapped heading difference |theta_a - theta_b| in [0, pi]."""
-    return abs(angle_diff(a.theta, b.theta))
-
-
 # --- quaternions -----------------------------------------------------------
-
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)

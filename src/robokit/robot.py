@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RobotConfig
-from .control import (DwaParams, ProportionalController, RateLimiter,
-                      dwa_step, lqr_backward_pass, lqr_track_step, tracking_error)
+from .control import CONTROLLERS, DEFAULT_CONTROLLER, tracking_law, within_tolerance
 from .errors import CapabilityError, IkConvergenceError
-from .geometry import SE3, Pose2D, angle_diff, planar_distance, zyx_from_quat
+from .geometry import SE3, Pose2D, zyx_from_quat
 from .kinematics import inverse_kinematics, pose_from_pitch_roll
-from .trajectory import (ControlCommand, TimedTrajectory, generate_sharp_trajectory,
-                         generate_smooth_trajectory)
+from .trajectory import ControlCommand, TimedTrajectory
 
 SUBSYSTEM_NAMES = ("arm", "base", "camera", "gripper")
 
@@ -67,10 +65,27 @@ class BaseInterface:
     def true_pose(self) -> Pose2D:
         return self._sim.true_pose
 
-    def _within_tolerance(self, pose: Pose2D, target: Pose2D,
-                          pos_tol: float, head_tol: float) -> bool:
-        return (planar_distance(pose, target) <= pos_tol
-                and abs(angle_diff(pose.theta, target.theta)) <= head_tol)
+    def _drive(self, law, timeout: float) -> tuple[list, list, str | None]:
+        """The blocking control loop: step `law` (see control.py) with the simulator.
+
+        Commands are rate-limited from rest. Returns the commands, the
+        (odometric, true) pose before each, and the law's stop reason (None if
+        `timeout` s of simulated time ran out first).
+        """
+        s = self._settings
+        t0 = self._sim.time
+        current = ControlCommand(0.0, 0.0)
+        commands: list = []
+        poses: list = []
+        while self._sim.time - t0 < timeout:
+            out = law(len(commands), self.odom_pose, current)
+            if isinstance(out, str):
+                return commands, poses, out
+            current = s.limits.rate_limited(current, out, s.dt)
+            commands.append(current)
+            poses.append((self.odom_pose, self.true_pose))
+            self._sim.step(current, s.dt)
+        return commands, poses, None
 
     def _settle(self, commands: list) -> None:
         # ramp the commanded velocity to zero so the next motion starts from rest
@@ -79,146 +94,40 @@ class BaseInterface:
             commands.append(cmd)
             self._sim.step(cmd, self._settings.dt)
 
-    def go_to_absolute(self, target, controller: str = "lqr",
+    def go_to_absolute(self, target, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:
         """Drive to an odometric-frame target pose; blocks until tolerance or timeout."""
         target = target if isinstance(target, Pose2D) else Pose2D.from_array(target)
         params = self._config.controller_params(controller)
-        if controller == "proportional":
-            return self._run_proportional(target, params)
-        if controller == "lqr":
-            return self._run_lqr(target, params)
-        if controller == "dwa":
-            return self._run_dwa(target, params, grid)
-        raise KeyError(f"unknown controller {controller!r}")
+        s = self._settings
+        # DWA carries its own tolerances; the other controllers use the base's
+        tol = (getattr(params, "position_tolerance", s.position_tolerance),
+               getattr(params, "heading_tolerance", s.heading_tolerance))
+        t0 = self._sim.time
+        law = CONTROLLERS[controller].position(self.odom_pose, target, params, s.limits,
+                                               s.dt, tol, grid)
+        commands, _, stop = self._drive(law, s.timeout)
+        self._settle(commands)
+        reached = not stop and within_tolerance(self.odom_pose, target, tol)
+        return MotionResult(reached=reached, elapsed=self._sim.time - t0,
+                            pose=self.odom_pose, true_pose=self.true_pose,
+                            commands=commands,
+                            detail=stop or ("" if reached else "timeout"))
 
-    def go_to_relative(self, rel, controller: str = "lqr", grid=None) -> MotionResult:
+    def go_to_relative(self, rel, controller: str = DEFAULT_CONTROLLER,
+                       grid=None) -> MotionResult:
         """Target expressed in the current odometric frame, composed under SE(2)."""
         rel = rel if isinstance(rel, Pose2D) else Pose2D.from_array(rel)
         return self.go_to_absolute(self.odom_pose.compose(rel), controller, grid)
 
-    def _result(self, target: Pose2D, pos_tol: float, head_tol: float, t0: float,
-                commands: list, detail: str = "") -> MotionResult:
-        reached = self._within_tolerance(self.odom_pose, target, pos_tol, head_tol)
-        return MotionResult(reached=reached, elapsed=self._sim.time - t0,
-                            pose=self.odom_pose, true_pose=self.true_pose,
-                            commands=commands,
-                            detail=detail or ("" if reached else "timeout"))
-
-    def _run_proportional(self, target: Pose2D, params) -> MotionResult:
-        s = self._settings
-        ctl = ProportionalController(target, params, s.limits, s.dt)
-        t0 = self._sim.time
-        commands: list = []
-        while self._sim.time - t0 < s.timeout and not ctl.done:
-            cmd = ctl.step(self.odom_pose)
-            if ctl.done:
-                break
-            commands.append(cmd)
-            self._sim.step(cmd, s.dt)
-        self._settle(commands)
-        return self._result(target, s.position_tolerance, s.heading_tolerance, t0, commands)
-
-    def _reference_trajectory(self, target: Pose2D, params) -> TimedTrajectory:
-        gen = (generate_smooth_trajectory if params.trajectory == "smooth"
-               else generate_sharp_trajectory)
-        return gen(self.odom_pose, target, self._settings.limits, self._settings.dt)
-
-    def _run_lqr(self, target: Pose2D, params) -> MotionResult:
-        s = self._settings
-        t0 = self._sim.time
-        commands: list = []
-        traj = self._reference_trajectory(target, params)
-        limiter = RateLimiter(s.limits, s.dt)
-        if traj.horizon > 0:
-            gains = lqr_backward_pass(traj, params.weights())
-            for t in range(traj.horizon):
-                if self._sim.time - t0 >= s.timeout:
-                    break
-                cmd = limiter.apply(lqr_track_step(self.odom_pose, t, traj, gains, s.limits))
-                commands.append(cmd)
-                self._sim.step(cmd, s.dt)
-            K_final = gains.gains[-1]
-        else:
-            K_final = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
-        while (self._sim.time - t0 < s.timeout
-               and not self._within_tolerance(self.odom_pose, target,
-                                              s.position_tolerance, s.heading_tolerance)):
-            e = tracking_error(self.odom_pose, target)
-            u = -K_final @ e
-            cmd = limiter.apply(ControlCommand(u[0], u[1]).clamped(s.limits.v_max,
-                                                                   s.limits.omega_max))
-            commands.append(cmd)
-            self._sim.step(cmd, s.dt)
-        self._settle(commands)
-        return self._result(target, s.position_tolerance, s.heading_tolerance, t0, commands)
-
-    def _run_dwa(self, target: Pose2D, params: DwaParams, grid) -> MotionResult:
-        s = self._settings
-        t0 = self._sim.time
-        commands: list = []
-        limiter = RateLimiter(s.limits, s.dt)
-        blocked = False
-        while self._sim.time - t0 < s.timeout:
-            if planar_distance(self.odom_pose, target) <= params.position_tolerance:
-                break
-            decision = dwa_step(self.odom_pose, limiter.current, target, grid,
-                                params, s.limits, s.dt)
-            if decision.blocked:
-                blocked = True
-                break
-            cmd = limiter.apply(decision.command)
-            commands.append(cmd)
-            self._sim.step(cmd, s.dt)
-        if not blocked:
-            while self._sim.time - t0 < s.timeout:
-                err = angle_diff(target.theta, self.odom_pose.theta)
-                if abs(err) <= params.heading_tolerance:
-                    break
-                cmd = limiter.apply(ControlCommand(0.0, 3.0 * err)
-                                    .clamped(s.limits.v_max, s.limits.omega_max))
-                commands.append(cmd)
-                self._sim.step(cmd, s.dt)
-        self._settle(commands)
-        result = self._result(target, params.position_tolerance, params.heading_tolerance,
-                              t0, commands, detail="all DWA samples blocked" if blocked else "")
-        if blocked:
-            result.reached = False
-        return result
-
-    def track_trajectory(self, traj: TimedTrajectory, controller: str = "lqr") -> list:
+    def track_trajectory(self, traj: TimedTrajectory,
+                         controller: str = DEFAULT_CONTROLLER) -> list:
         """Run the chosen feedback law along `traj`; returns one TrackingEntry per step."""
-        s = self._settings
         params = self._config.controller_params(controller)
-        log: list[TrackingEntry] = []
-        limiter = RateLimiter(s.limits, s.dt)
-        if controller == "lqr":
-            if traj.horizon == 0:
-                return log
-            gains = lqr_backward_pass(traj, params.weights())
-            for t in range(traj.horizon):
-                ref = traj.state(t)
-                cmd = limiter.apply(lqr_track_step(self.odom_pose, t, traj, gains, s.limits))
-                log.append(TrackingEntry(ref, self.odom_pose, self.true_pose, cmd))
-                self._sim.step(cmd, s.dt)
-            return log
-        if controller == "proportional":
-            for t in range(traj.horizon):
-                ref = traj.state(t)
-                pose = self.odom_pose
-                dist = planar_distance(pose, ref)
-                # chase the moving reference point; adopt its heading when close
-                if dist > 0.05:
-                    heading_target = math.atan2(ref.y - pose.y, ref.x - pose.x)
-                else:
-                    heading_target = ref.theta
-                cmd = ControlCommand(params.kp_lin * dist,
-                                     params.kp_ang * angle_diff(heading_target, pose.theta))
-                cmd = limiter.apply(cmd.clamped(s.limits.v_max, s.limits.omega_max))
-                log.append(TrackingEntry(ref, pose, self.true_pose, cmd))
-                self._sim.step(cmd, s.dt)
-            return log
-        raise KeyError(f"unknown tracking controller {controller!r}")
+        law = tracking_law(controller)(traj, params, self._settings.limits)
+        commands, poses, _ = self._drive(law, math.inf)
+        return [TrackingEntry(traj.state(k), odom, true, cmd)
+                for k, ((odom, true), cmd) in enumerate(zip(poses, commands))]
 
 
 class ArmInterface:

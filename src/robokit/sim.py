@@ -91,10 +91,8 @@ class DiffDriveSim:
         if dt <= 0:
             raise ValueError("dt must be positive")
         lim = self.limits
-        cmd = cmd.clamped(lim.v_max, lim.omega_max)
-        dv, dw = lim.a_max * dt, lim.alpha_max * dt
-        v = min(self.velocity.v + dv, max(self.velocity.v - dv, cmd.v))
-        w = min(self.velocity.omega + dw, max(self.velocity.omega - dw, cmd.omega))
+        self.velocity = lim.rate_limited(self.velocity, cmd.clamped(lim.v_max, lim.omega_max), dt)
+        v, w = self.velocity.v, self.velocity.omega
 
         ev, ew = self._rng_act.standard_normal(2)
         v_true = v * (1.0 + self.noise.actuation_v * ev)
@@ -106,14 +104,7 @@ class DiffDriveSim:
         w_meas = w_true * (1.0 + self.noise.odometry_omega * mw)
         self.odom_pose = integrate_unicycle(self.odom_pose, ControlCommand(v_meas, w_meas), dt)
 
-        self.velocity = ControlCommand(v, w)
         self.time += dt
-
-
-def step_base(sim: DiffDriveSim, cmd: ControlCommand, dt: float) -> DiffDriveSim:
-    """Functional wrapper over DiffDriveSim.step (mutates and returns `sim`)."""
-    sim.step(cmd, dt)
-    return sim
 
 
 class ArmSim:
@@ -170,12 +161,6 @@ class ArmSim:
 
     def ee_pose(self) -> SE3:
         return forward_kinematics(self.chain, self.q)
-
-
-def step_arm(sim: ArmSim, target, dt: float) -> ArmSim:
-    """Functional wrapper over ArmSim.step (mutates and returns `sim`)."""
-    sim.step(target, dt)
-    return sim
 
 
 # --- synthetic camera ---------------------------------------------------------

@@ -56,6 +56,13 @@ class VelocityLimits:
             if getattr(self, name) <= 0:
                 raise ValueError(f"VelocityLimits.{name} must be positive")
 
+    def rate_limited(self, prev: ControlCommand, cmd: ControlCommand,
+                     dt: float) -> ControlCommand:
+        """`cmd` with each rate moved at most one acceleration step of `dt` from `prev`."""
+        dv, dw = self.a_max * dt, self.alpha_max * dt
+        return ControlCommand(min(prev.v + dv, max(prev.v - dv, cmd.v)),
+                              min(prev.omega + dw, max(prev.omega - dw, cmd.omega)))
+
 
 def integrate_unicycle(pose: Pose2D, cmd: ControlCommand, dt: float) -> Pose2D:
     """Exact constant-twist step: a circular arc (or straight segment when omega ~ 0)."""
@@ -296,38 +303,6 @@ def generate_smooth_trajectory(start: Pose2D, goal: Pose2D, limits: VelocityLimi
 
     return TimedTrajectory(dt, np.array([p.as_array() for p in states]),
                            np.array([u_.as_array() for u_ in controls]))
-
-
-def save_trajectory(path, traj: TimedTrajectory) -> None:
-    """Write a trajectory as a robokit CSV (states plus feedforward controls).
-
-    The final state row has empty control cells (controls are per-interval).
-    """
-    lines = [f"# robokit-csv trajectory v1 dt={traj.dt!r}", "x,y,theta,v,omega"]
-    for k, s in enumerate(traj.states):
-        row = f"{float(s[0])!r},{float(s[1])!r},{float(s[2])!r}"
-        if k < traj.horizon:
-            u = traj.controls[k]
-            lines.append(f"{row},{float(u[0])!r},{float(u[1])!r}")
-        else:
-            lines.append(f"{row},,")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_trajectory(path) -> TimedTrajectory:
-    with open(path) as f:
-        lines = [line.strip() for line in f if line.strip()]
-    if not lines or not lines[0].startswith("# robokit-csv trajectory"):
-        raise ValueError(f"{path}: not a robokit trajectory file")
-    dt = float(lines[0].split("dt=")[1])
-    states, controls = [], []
-    for line in lines[2:]:
-        parts = line.split(",")
-        states.append([float(parts[0]), float(parts[1]), float(parts[2])])
-        if parts[3] != "":
-            controls.append([float(parts[3]), float(parts[4])])
-    return TimedTrajectory(dt, np.array(states), np.array(controls).reshape(-1, 2))
 
 
 def circle_trajectory(radius: float, speed: float, dt: float = 0.05,

@@ -174,6 +174,18 @@ def test_tracking_rejects_unknown_controller(locobot_cfg):
         run_tracking_benchmark(locobot_cfg, backend, controller="dwa")
 
 
+def test_tracking_takes_explicit_trajectory_and_rejects_other_shapes(locobot_cfg):
+    from robokit.trajectory import circle_trajectory
+
+    quarter = circle_trajectory(0.4, 0.2, locobot_cfg.base.dt, loops=0.25)
+    backend = SimBackend(locobot_cfg, seed=0, zero_noise=True)
+    rep = run_tracking_benchmark(locobot_cfg, backend, trajectory=quarter)
+    assert len(rep.log) == quarter.horizon
+    assert rep.rms_mm < 10.0
+    with pytest.raises(ValueError, match="shape"):
+        run_tracking_benchmark(locobot_cfg, SimBackend(locobot_cfg), "square")
+
+
 # --- report files ------------------------------------------------------------------
 
 

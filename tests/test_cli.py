@@ -32,8 +32,9 @@ def assert_identical_runs(args, tmp_path):
 
 
 def test_bench_base_deterministic(tmp_path):
-    assert_identical_runs(["bench", "base", "--controller", "lqr", "--seed", "7",
-                           "--trials", "1"], tmp_path)
+    for controller in ("lqr", "prop"):
+        assert_identical_runs(["bench", "base", "--controller", controller, "--seed", "7",
+                               "--trials", "1"], tmp_path / controller)
 
 
 def test_bench_arm_deterministic(tmp_path):
@@ -41,8 +42,9 @@ def test_bench_arm_deterministic(tmp_path):
 
 
 def test_track_deterministic(tmp_path):
-    assert_identical_runs(["track", "--shape", "circle", "--radius", "0.4",
-                           "--controller", "lqr", "--seed", "7"], tmp_path)
+    for controller in ("lqr", "prop"):
+        assert_identical_runs(["track", "--shape", "circle", "--radius", "0.4",
+                               "--controller", controller, "--seed", "7"], tmp_path / controller)
 
 
 def test_plan_deterministic(tmp_path):

@@ -114,6 +114,25 @@ def test_controller_defaults_applied():
     assert cfg.controllers["dwa"].samples_v == 11
 
 
+def test_omitted_ik_block_uses_ik_params_defaults():
+    from robokit.kinematics import IkParams
+
+    raw = locobot_raw()
+    del raw["arm"]["ik"]
+    assert parse_config(raw).ik == IkParams()
+
+
+def test_omitted_sections_use_dataclass_defaults():
+    from robokit.config import BenchmarkSettings, SkillSettings
+
+    raw = locobot_raw()
+    raw.pop("skills", None)
+    raw.pop("benchmark", None)
+    cfg = parse_config(raw)
+    assert cfg.skills == SkillSettings()
+    assert cfg.benchmark == BenchmarkSettings()
+
+
 def test_parse_error_is_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed\n")

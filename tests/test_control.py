@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from robokit.control import (ALIGN, DONE, DRIVE, FINAL_ROTATE, CostWeights, DwaParams,
-                             ProportionalController, ProportionalParams, RateLimiter,
-                             dwa_step, euler_step,
+                             ProportionalParams, dwa_step, euler_step,
                              linearize_dynamics, lqr_backward_pass, lqr_track_step,
                              proportional_step, riccati_gains, tracking_error)
 from robokit.geometry import Pose2D
@@ -215,22 +214,6 @@ def test_proportional_done_when_converged():
     assert cmd.v == 0.0 and cmd.omega == 0.0
 
 
-def test_proportional_rollout_respects_rate_bounds():
-    sim = DiffDriveSim(LIMITS)
-    ctl = ProportionalController(Pose2D(1.5, -0.8, 1.0), PARAMS, LIMITS, DT)
-    prev = ControlCommand(0.0, 0.0)
-    for _ in range(2000):
-        if ctl.done:
-            break
-        cmd = ctl.step(sim.odom_pose)
-        assert abs(cmd.v - prev.v) <= LIMITS.a_max * DT + 1e-12
-        assert abs(cmd.omega - prev.omega) <= LIMITS.alpha_max * DT + 1e-12
-        assert abs(cmd.v) <= LIMITS.v_max and abs(cmd.omega) <= LIMITS.omega_max
-        prev = cmd
-        sim.step(cmd, DT)
-    assert ctl.done
-
-
 # --- DWA ---------------------------------------------------------------------
 
 
@@ -354,9 +337,19 @@ def test_dwa_fully_blocked_returns_stop():
 
 
 def test_rate_limiter():
-    rl = RateLimiter(LIMITS, DT)
-    c1 = rl.apply(ControlCommand(1.0, 5.0))
+    c1 = LIMITS.rate_limited(ControlCommand(0.0, 0.0), ControlCommand(1.0, 5.0), DT)
     assert c1.v == pytest.approx(LIMITS.a_max * DT)
     assert c1.omega == pytest.approx(LIMITS.alpha_max * DT)
-    c2 = rl.apply(ControlCommand(0.0, 0.0))
+    c2 = LIMITS.rate_limited(c1, ControlCommand(0.0, 0.0), DT)
     assert c2.v == pytest.approx(0.0)
+
+
+def test_registry_order_and_laws():
+    from robokit.control import CONTROLLERS, DEFAULT_CONTROLLER, TRACKING_CONTROLLERS, tracking_law
+
+    # benchmark "all" runs controllers in registry order, and trial seeds follow it
+    assert list(CONTROLLERS) == ["lqr", "proportional", "dwa"]
+    assert DEFAULT_CONTROLLER == "lqr"
+    assert TRACKING_CONTROLLERS == ("lqr", "proportional")
+    with pytest.raises(KeyError, match=r"tracking supports lqr\|proportional"):
+        tracking_law("dwa")

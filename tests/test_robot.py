@@ -105,10 +105,37 @@ def test_timeout_reported_not_raised(locobot_cfg):
     import dataclasses
     base = dataclasses.replace(locobot_cfg.base, timeout=0.5)
     cfg = dataclasses.replace(locobot_cfg, base=base)
-    bot = fresh_robot(cfg)
-    res = bot.base.go_to_absolute([2.0, 0.0, 0.0], "lqr")
+    for controller in ("lqr", "proportional", "dwa"):
+        bot = fresh_robot(cfg)
+        res = bot.base.go_to_absolute([2.0, 0.0, 0.0], controller)
+        assert not res.reached, controller
+        assert res.detail == "timeout", controller
+
+
+def test_dwa_blocked_reported_through_facade(locobot_cfg):
+    from robokit.planning import OccupancyGrid
+
+    grid = OccupancyGrid.empty(10, 10, 0.1, Pose2D(-0.5, -0.5, 0))
+    grid.cells[:, :] = 1
+    bot = fresh_robot(locobot_cfg)
+    res = bot.base.go_to_absolute([0.4, 0.0, 0.0], "dwa", grid)
     assert not res.reached
-    assert res.detail == "timeout"
+    assert res.detail == "all DWA samples blocked"
+    assert res.elapsed == 0.0
+    assert res.commands == []
+
+
+def test_lqr_smooth_reference_reaches_target_ahead(locobot_cfg):
+    import dataclasses
+    from robokit.config import LqrParams
+
+    controllers = dict(locobot_cfg.controllers, lqr=LqrParams(trajectory="smooth"))
+    bot = fresh_robot(dataclasses.replace(locobot_cfg, controllers=controllers))
+    target = Pose2D(1.0, 0.5, 0.3)
+    res = bot.base.go_to_absolute(target, "lqr")
+    assert res.reached
+    assert planar_distance(res.pose, target) <= locobot_cfg.base.position_tolerance
+    assert res.elapsed < 10.0
 
 
 def test_set_joint_positions_home_is_fk_zero(locobot_cfg):

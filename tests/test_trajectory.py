@@ -150,30 +150,3 @@ def test_timed_trajectory_validation():
         TimedTrajectory(0.0, np.zeros((2, 3)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         TimedTrajectory(0.05, np.zeros((3, 3)), np.zeros((1, 2)))
-
-
-def test_trajectory_file_roundtrip(tmp_path):
-    from robokit.trajectory import load_trajectory, save_trajectory
-
-    traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0.5, 0.3), LIMITS, DT)
-    path = tmp_path / "ref.csv"
-    save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert back.dt == traj.dt
-    assert np.array_equal(back.states, traj.states)
-    assert np.array_equal(back.controls, traj.controls)
-
-
-def test_tracking_accepts_trajectory_file(tmp_path):
-    from robokit.backends import SimBackend
-    from robokit.benchmark import run_tracking_benchmark
-    from robokit.config import load_config
-    from robokit.trajectory import save_trajectory
-
-    cfg = load_config("locobot")
-    traj = circle_trajectory(0.4, 0.2, cfg.base.dt, loops=0.25)
-    path = tmp_path / "quarter.csv"
-    save_trajectory(path, traj)
-    backend = SimBackend(cfg, seed=0, zero_noise=True)
-    rep = run_tracking_benchmark(cfg, backend, shape=str(path), controller="lqr")
-    assert rep.rms_mm < 10.0
