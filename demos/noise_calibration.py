@@ -16,9 +16,11 @@ those three quantities; the shipped `locobot` defaults are the marked row.
 Run time: a few minutes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from robokit.backends import SimBackend
+from robokit.backends import sim_backend_factory
 from robokit.benchmark import run_base_benchmark
 from robokit.config import load_config
 from robokit.sim import BaseNoiseModel
@@ -31,13 +33,10 @@ def evaluate(config, noise: BaseNoiseModel):
     """(prop combined GT mean, lqr linear GT, lqr linear odo, per-class odo ordering hits)."""
     prop_combined, lqr_lin_gt, lqr_lin_odo = [], [], []
     order_hits = {"linear": 0, "rotation": 0, "combined": 0}
+    noisy = replace(config, base_noise=noise)
     for seed in SEEDS:
-        def factory(trial_seed, _noise=noise):
-            backend = SimBackend(config, seed=trial_seed)
-            backend.base_sim.noise = _noise
-            return backend
-
-        report = run_base_benchmark(config, factory, CONTROLLERS, master_seed=seed)
+        report = run_base_benchmark(noisy, sim_backend_factory(noisy), CONTROLLERS,
+                                    master_seed=seed)
         prop_combined.append(report.mean_error("proportional", "combined", "truth"))
         lqr_lin_gt.append(report.mean_error("lqr", "linear", "truth"))
         lqr_lin_odo.append(report.mean_error("lqr", "linear", "odometry"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RobotConfig
+from .config import SUBSYSTEMS, RobotConfig
 from .geometry import SE3, quat_from_axis_angle, quat_from_matrix, quat_multiply
 from .sim import (ArmSim, DiffDriveSim, Scene, ZERO_ARM_NOISE, ZERO_BASE_NOISE,
                   render_point_cloud, subsystem_rngs)
@@ -77,8 +77,7 @@ class SimBackend:
         self.scene = scene if scene is not None else Scene()
         rngs = subsystem_rngs(seed)
 
-        wanted = {s for s in ("arm", "base", "camera", "gripper")
-                  if getattr(config, f"use_{s}")}
+        wanted = {s for s in SUBSYSTEMS if getattr(config, f"use_{s}")}
         if capabilities is not None:
             wanted &= set(capabilities)
         self.capabilities = frozenset(wanted)

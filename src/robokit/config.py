@@ -1,9 +1,10 @@
 """Robot description files: YAML schema (version 1), validation, and bundled configs.
 
-See docs/formats.md for the full schema. Validation errors always name the
-offending key (e.g. ``base.v_max``). Controller parameter blocks default to
-the documented values when omitted; required structure (subsystem flags, arm
-chain when the arm is enabled, base limits when the base is enabled) does not.
+See docs/formats.md for the full schema. Each settings section is built from
+its dataclass (`_build`): omitted keys keep the dataclass defaults, given keys
+are checked against their types, unknown keys are rejected, and errors name
+the offending key (e.g. ``base.v_max``). Required structure (subsystem flags,
+the arm chain and base limits when those are enabled) has no default.
 
 Bundled configs: ``locobot``, ``locobot_lite``, ``sawyer_sim``. The
 ``ROBOKIT_CONFIG_DIR`` environment variable prepends a search directory for
@@ -13,14 +14,15 @@ named (non-path) config lookups.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .control import CONTROLLERS, DwaParams, LqrParams, ProportionalParams
+from .control import CONTROLLERS, LqrParams  # noqa: F401  (LqrParams is re-exported)
 from .errors import ConfigError
 from .geometry import SE3
 from .kinematics import IkParams, Joint, KinematicChain
@@ -30,23 +32,33 @@ from .trajectory import VelocityLimits
 SCHEMA_VERSION = 1
 SUBSYSTEMS = ("arm", "base", "camera", "gripper")
 
-# YAML defaults per controller parameter type (angles in degrees)
-_CONTROLLER_DEFAULTS = {
-    ProportionalParams: {
-        "kp_lin": 1.0, "kp_ang": 3.0,
-        "bearing_threshold_deg": 2.0, "distance_threshold": 0.005,
-        "heading_threshold_deg": 0.5,
-    },
-    LqrParams: {
-        "q": [5.0, 5.0, 1.0], "r": [1.0, 0.5], "qf_scale": 10.0, "trajectory": "sharp",
-    },
-    DwaParams: {
-        "samples_v": 11, "samples_omega": 21, "horizon": 1.5,
-        "weight_heading": 0.8, "weight_distance": 0.2,
-        "weight_velocity": 0.1, "weight_clearance": 0.3,
-        "position_tolerance": 0.015, "heading_tolerance_deg": 1.5,
-    },
+# fields held in radians; their YAML key is the field name plus "_deg"
+_DEGREES = {"bearing_threshold", "heading_threshold", "heading_tolerance"}
+# fields that must be strictly positive, in whichever section they appear
+_POSITIVE = {
+    "v_max", "omega_max", "a_max", "alpha_max", "dt", "position_tolerance",
+    "heading_tolerance", "timeout", "kp_lin", "kp_ang", "bearing_threshold",
+    "distance_threshold", "heading_threshold", "qf_scale", "samples_v", "samples_omega",
+    "horizon", "fx", "fy", "width", "height", "max_range", "density", "dbscan_eps",
+    "dbscan_min_pts", "pregrasp_height", "grasp_height", "pre_push_height", "push_height",
+    "tracking_speed", "orientation_tolerance", "max_iterations", "damping", "step_clamp",
+    "floor_radius",
 }
+# fields a config must give although their dataclass has a default
+_REQUIRED = {"v_max", "omega_max"}
+_CHOICES = {"trajectory": ("sharp", "smooth")}
+# keys of the structure that is not built from a dataclass
+_TOP_KEYS = ("schema", "name", "subsystems", "frames", "arm", "base", "controllers", "camera",
+             "noise", "skills", "benchmark")
+_ARM_KEYS = ("joints", "tool", "home", "named_poses", "ik")
+_JOINT_KEYS = ("name", "type", "axis", "xyz", "rpy", "limits", "max_velocity")
+
+
+@dataclass(frozen=True)
+class _Frames:
+    base: str = "base_link"
+    end_effector: str = "ee_link"
+
 
 @dataclass(frozen=True)
 class BaseSettings:
@@ -121,12 +133,28 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _positive(value, path: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
-    if v <= 0:
+def _mapping(section, path: str, known=None) -> dict:
+    """`section` as a mapping (None reads as empty); with `known`, no other keys."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(path, "must be a mapping")
+    for key in section:
+        if known is not None and key not in known:
+            raise ConfigError(f"{path}.{key}" if path else str(key),
+                              f"unknown key; expected one of: {', '.join(known)}")
+    return section
+
+
+def _number(value, path: str, integer: bool = False, positive: bool = False):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    v = int(value) if integer else float(value)
+    if positive and v <= 0:
         raise ConfigError(path, f"must be strictly positive, got {v}")
     return v
 
@@ -134,16 +162,71 @@ def _positive(value, path: str) -> float:
 def _vector(value, n: int, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(path, f"expected a {n}-vector")
-    try:
-        return [float(x) for x in value]
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected numeric entries") from None
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def _transform(section: dict, path: str) -> SE3:
+def _transform(section, path: str, known=("xyz", "rpy")) -> SE3:
+    section = _mapping(section, path, known)
     xyz = _vector(section.get("xyz", [0.0, 0.0, 0.0]), 3, f"{path}.xyz")
     rpy = _vector(section.get("rpy", [0.0, 0.0, 0.0]), 3, f"{path}.rpy")
     return SE3.from_xyz_rpy(xyz, rpy)
+
+
+def _value(value, like, path: str, name: str):
+    """`value` checked against `like`, the field's default: a string, a list of
+    n-vectors (the repeatability poses), an n-vector, an int or a float."""
+    if isinstance(like, str):
+        choices = _CHOICES.get(name, "any string")
+        if not isinstance(value, str) or (name in _CHOICES and value not in choices):
+            raise ConfigError(path, f"expected one of {choices}, got {value!r}")
+        return value
+    if isinstance(like, tuple) and like and isinstance(like[0], tuple):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list of {len(like[0])}-vectors")
+        return tuple(tuple(_vector(v, len(like[0]), f"{path}[{i}]")) for i, v in enumerate(value))
+    if isinstance(like, tuple):
+        return tuple(_vector(value, len(like), path))
+    v = _number(value, path, integer=isinstance(like, int), positive=name in _POSITIVE)
+    return math.radians(v) if name in _DEGREES else v
+
+
+def _key(name: str) -> str:
+    return f"{name}_deg" if name in _DEGREES else name
+
+
+def _build(cls, section, path: str, **given):
+    """Instance of dataclass `cls` from the YAML mapping `section` at key `path`.
+
+    `given` holds values the caller parsed from the keys of the same names. A
+    field whose default factory is a dataclass (`BaseSettings.limits`) is built
+    from the keys of its fields, which sit flat in this mapping. Any other field
+    reads key `_key(name)`: an omitted key keeps the default untouched, and is an
+    error for fields in `_REQUIRED` or without a default. Unknown keys are rejected.
+    """
+    section = _mapping(section, path)
+    prefix = f"{path}." if path else ""
+    kwargs, known = dict(given), list(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if is_dataclass(f.default_factory):
+            keys = [_key(g.name) for g in fields(f.default_factory)]
+            kwargs[f.name] = _build(f.default_factory,
+                                    {k: v for k, v in section.items() if k in keys}, path)
+            known += keys
+            continue
+        key = _key(f.name)
+        known.append(key)
+        if key in section:
+            like = 0.0 if f.default is MISSING else f.default
+            kwargs[f.name] = _value(section[key], like, prefix + key, f.name)
+        elif f.name in _REQUIRED or f.default is f.default_factory is MISSING:
+            raise ConfigError(prefix + key, "missing required field")
+    _mapping(section, path, known)   # rejects the keys that name no field
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]:
@@ -153,6 +236,7 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
     joints = []
     for i, j in enumerate(joints_spec):
         path = f"arm.joints[{i}]"
+        j = _mapping(j, path, _JOINT_KEYS)
         name = _require(j, "name", path)
         jtype = j.get("type", "revolute")
         if jtype != "revolute":
@@ -161,144 +245,41 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
         limits = _vector(_require(j, "limits", path), 2, f"{path}.limits")
         if not limits[0] < limits[1]:
             raise ConfigError(f"{path}.limits", "lower limit must be < upper limit")
-        max_velocity = _positive(j.get("max_velocity", 2.0), f"{path}.max_velocity")
+        speed = ({"max_velocity": _number(j["max_velocity"], f"{path}.max_velocity",
+                                          positive=True)} if "max_velocity" in j else {})
         try:
-            joints.append(Joint(name=name, origin=_transform(j, path), axis=tuple(axis),
-                                lower=limits[0], upper=limits[1], max_velocity=max_velocity))
+            joints.append(Joint(name=name, origin=_transform(j, path, None), axis=tuple(axis),
+                                lower=limits[0], upper=limits[1], **speed))
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
-    tool = _transform(arm.get("tool", {}), "arm.tool")
+    tool = _transform(arm.get("tool"), "arm.tool")
     chain = KinematicChain(tuple(joints), tool)
 
     home = np.asarray(_vector(arm.get("home", [0.0] * chain.dof), chain.dof, "arm.home"))
     named = {}
-    for key, val in (arm.get("named_poses") or {}).items():
+    for key, val in _mapping(arm.get("named_poses"), "arm.named_poses").items():
         named[key] = np.asarray(_vector(val, chain.dof, f"arm.named_poses.{key}"))
-
-    ik_raw = {**asdict(IkParams()), **(arm.get("ik") or {})}
-    try:
-        ik = IkParams(
-            position_tolerance=float(ik_raw["position_tolerance"]),
-            orientation_tolerance=float(ik_raw["orientation_tolerance"]),
-            max_iterations=int(ik_raw["max_iterations"]),
-            damping=float(ik_raw["damping"]),
-            step_clamp=float(ik_raw["step_clamp"]),
-            restarts=int(ik_raw["restarts"]),
-        )
-    except ValueError as exc:
-        raise ConfigError("arm.ik", str(exc)) from None
-    return chain, home, named, ik
+    return chain, home, named, _build(IkParams, arm.get("ik"), "arm.ik")
 
 
-def _parse_base(base: dict) -> BaseSettings:
-    limits = VelocityLimits(
-        v_max=_positive(_require(base, "v_max", "base"), "base.v_max"),
-        omega_max=_positive(_require(base, "omega_max", "base"), "base.omega_max"),
-        a_max=_positive(base.get("a_max", 0.5), "base.a_max"),
-        alpha_max=_positive(base.get("alpha_max", 2.0), "base.alpha_max"),
-    )
-    return BaseSettings(
-        limits=limits,
-        dt=_positive(base.get("dt", 0.05), "base.dt"),
-        position_tolerance=_positive(base.get("position_tolerance", 0.005),
-                                     "base.position_tolerance"),
-        heading_tolerance=math.radians(_positive(base.get("heading_tolerance_deg", 0.5),
-                                                 "base.heading_tolerance_deg")),
-        timeout=_positive(base.get("timeout", 60.0), "base.timeout"),
-    )
-
-
-def _parse_controllers(section: dict) -> dict:
-    merged = {}
-    for name in section or {}:
-        if name not in CONTROLLERS:
-            raise ConfigError(f"controllers.{name}",
-                              f"unknown controller; supported: {', '.join(CONTROLLERS)}")
-    for name, controller in CONTROLLERS.items():
-        raw = dict(_CONTROLLER_DEFAULTS[controller.params])
-        user = (section or {}).get(name) or {}
-        for key in user:
-            if key not in raw:
-                raise ConfigError(f"controllers.{name}.{key}", "unknown parameter")
-        raw.update(user)
-        path = f"controllers.{name}"
-        try:
-            if controller.params is ProportionalParams:
-                merged[name] = ProportionalParams(
-                    kp_lin=_positive(raw["kp_lin"], f"{path}.kp_lin"),
-                    kp_ang=_positive(raw["kp_ang"], f"{path}.kp_ang"),
-                    bearing_threshold=math.radians(_positive(raw["bearing_threshold_deg"],
-                                                             f"{path}.bearing_threshold_deg")),
-                    distance_threshold=_positive(raw["distance_threshold"],
-                                                 f"{path}.distance_threshold"),
-                    heading_threshold=math.radians(_positive(raw["heading_threshold_deg"],
-                                                             f"{path}.heading_threshold_deg")),
-                )
-            elif controller.params is LqrParams:
-                if raw["trajectory"] not in ("sharp", "smooth"):
-                    raise ConfigError(f"{path}.trajectory", "must be 'sharp' or 'smooth'")
-                merged[name] = LqrParams(
-                    q=tuple(_vector(raw["q"], 3, f"{path}.q")),
-                    r=tuple(_vector(raw["r"], 2, f"{path}.r")),
-                    qf_scale=_positive(raw["qf_scale"], f"{path}.qf_scale"),
-                    trajectory=raw["trajectory"],
-                )
-            else:
-                merged[name] = DwaParams(
-                    samples_v=int(raw["samples_v"]),
-                    samples_omega=int(raw["samples_omega"]),
-                    horizon=_positive(raw["horizon"], f"{path}.horizon"),
-                    weight_heading=float(raw["weight_heading"]),
-                    weight_distance=float(raw["weight_distance"]),
-                    weight_velocity=float(raw["weight_velocity"]),
-                    weight_clearance=float(raw["weight_clearance"]),
-                    position_tolerance=_positive(raw["position_tolerance"],
-                                                 f"{path}.position_tolerance"),
-                    heading_tolerance=math.radians(_positive(raw["heading_tolerance_deg"],
-                                                             f"{path}.heading_tolerance_deg")),
-                )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    return merged
-
-
-def _parse_camera(section: dict) -> CameraSettings:
-    intr_raw = _require(section, "intrinsics", "camera")
-    for key in ("fx", "fy", "cx", "cy"):
-        _require(intr_raw, key, "camera.intrinsics")
-        if key in ("fx", "fy"):
-            _positive(intr_raw[key], f"camera.intrinsics.{key}")
-    try:
-        intr = CameraIntrinsics(
-            fx=float(intr_raw["fx"]), fy=float(intr_raw["fy"]),
-            cx=float(intr_raw["cx"]), cy=float(intr_raw["cy"]),
-            width=int(intr_raw.get("width", 640)), height=int(intr_raw.get("height", 480)),
-        )
-    except ValueError as exc:
-        raise ConfigError("camera.intrinsics", str(exc)) from None
-    pan_tilt = _vector(section.get("default_pan_tilt", [0.0, 0.7]), 2, "camera.default_pan_tilt")
-    return CameraSettings(
-        intrinsics=intr,
-        mount=_transform(section.get("mount", {"xyz": [0.0, 0.0, 0.6]}), "camera.mount"),
-        default_pan_tilt=tuple(pan_tilt),
-        max_range=_positive(section.get("max_range", 1.5), "camera.max_range"),
-        density=_positive(section.get("density", 20000.0), "camera.density"),
-        depth_sigma=float(section.get("depth_sigma", 0.002)),
-    )
+def _parse_camera(section) -> CameraSettings:
+    section = _mapping(section, "camera")
+    given = {"intrinsics": _build(CameraIntrinsics, _require(section, "intrinsics", "camera"),
+                                  "camera.intrinsics")}
+    if "mount" in section:
+        given["mount"] = _transform(section["mount"], "camera.mount")
+    return _build(CameraSettings, section, "camera", **given)
 
 
 def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
     if not isinstance(raw, dict):
         raise ConfigError(name_hint, "config root must be a mapping")
+    _mapping(raw, "", _TOP_KEYS)
     schema = raw.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema}")
     name = _require(raw, "name", "")
-    subsystems = _require(raw, "subsystems", "")
-    if not isinstance(subsystems, dict):
-        raise ConfigError("subsystems", "must be a mapping of subsystem flags")
+    subsystems = _mapping(_require(raw, "subsystems", ""), "subsystems", SUBSYSTEMS)
     flags = {}
     for sub in SUBSYSTEMS:
         val = subsystems.get(sub, False)
@@ -306,73 +287,33 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
             raise ConfigError(f"subsystems.{sub}", "must be a boolean")
         flags[sub] = val
 
-    chain = home = None
-    named: dict = {}
-    ik = IkParams()
-    if flags["arm"]:
-        chain, home, named, ik = _parse_chain(_require(raw, "arm", ""))
-
-    base = _parse_base(_require(raw, "base", "")) if flags["base"] else BaseSettings()
-    controllers = _parse_controllers(raw.get("controllers"))
+    chain, home, named, ik = (_parse_chain(_mapping(_require(raw, "arm", ""), "arm", _ARM_KEYS))
+                              if flags["arm"] else (None, None, {}, IkParams()))
+    base = (_build(BaseSettings, _require(raw, "base", ""), "base") if flags["base"]
+            else BaseSettings())
     camera = _parse_camera(_require(raw, "camera", "")) if flags["camera"] else CameraSettings()
-
-    noise = raw.get("noise") or {}
-    bn = noise.get("base") or {}
-    try:
-        base_noise = BaseNoiseModel(
-            actuation_v=float(bn.get("actuation_v", 0.0)),
-            actuation_omega=float(bn.get("actuation_omega", 0.0)),
-            odometry_v=float(bn.get("odometry_v", 0.0)),
-            odometry_omega=float(bn.get("odometry_omega", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("noise.base", str(exc)) from None
-    an = noise.get("arm") or {}
-    try:
-        arm_noise = ArmNoiseModel(sigma=tuple(_vector(an.get("sigma", [0.0, 0.0, 0.0]), 3,
-                                                      "noise.arm.sigma")))
-    except ValueError as exc:
-        raise ConfigError("noise.arm", str(exc)) from None
-
-    sk = {**asdict(SkillSettings()), **(raw.get("skills") or {})}
-    skills = SkillSettings(
-        z_floor=float(sk["z_floor"]),
-        max_range=_positive(sk["max_range"], "skills.max_range"),
-        dbscan_eps=_positive(sk["dbscan_eps"], "skills.dbscan_eps"),
-        dbscan_min_pts=int(sk["dbscan_min_pts"]),
-        pregrasp_height=_positive(sk["pregrasp_height"], "skills.pregrasp_height"),
-        grasp_height=_positive(sk["grasp_height"], "skills.grasp_height"),
-        pre_push_height=_positive(sk["pre_push_height"], "skills.pre_push_height"),
-        push_height=_positive(sk["push_height"], "skills.push_height"),
-    )
-    if skills.dbscan_min_pts < 1:
-        raise ConfigError("skills.dbscan_min_pts", "must be >= 1")
+    controllers = _mapping(raw.get("controllers"), "controllers", CONTROLLERS)
+    noise = _mapping(raw.get("noise"), "noise", ("base", "arm"))
+    skills = _build(SkillSettings, raw.get("skills"), "skills")
     if skills.pregrasp_height < skills.grasp_height:
         raise ConfigError("skills.pregrasp_height", "must be >= skills.grasp_height")
     if skills.pre_push_height < skills.push_height:
         raise ConfigError("skills.pre_push_height", "must be >= skills.push_height")
-
-    bench_raw = {**asdict(BenchmarkSettings()), **(raw.get("benchmark") or {})}
-    poses = tuple(tuple(_vector(p, 3, f"benchmark.repeatability_poses[{i}]"))
-                  for i, p in enumerate(bench_raw["repeatability_poses"]))
-    benchmark = BenchmarkSettings(
-        repeatability_poses=poses,
-        repeatability_reps=int(bench_raw["repeatability_reps"]),
-        tracking_speed=_positive(bench_raw["tracking_speed"], "benchmark.tracking_speed"),
-    )
+    benchmark = _build(BenchmarkSettings, raw.get("benchmark"), "benchmark")
     if benchmark.repeatability_reps < 2:
         raise ConfigError("benchmark.repeatability_reps", "need at least 2 repetitions")
 
-    frames = raw.get("frames") or {}
     return RobotConfig(
         name=str(name),
         use_arm=flags["arm"], use_base=flags["base"],
         use_camera=flags["camera"], use_gripper=flags["gripper"],
-        frames={"base": frames.get("base", "base_link"),
-                "end_effector": frames.get("end_effector", "ee_link")},
+        frames=asdict(_build(_Frames, raw.get("frames"), "frames")),
         chain=chain, home=home, named_poses=named, ik=ik,
-        base=base, controllers=controllers, camera=camera,
-        base_noise=base_noise, arm_noise=arm_noise,
+        base=base, camera=camera,
+        controllers={ctl: _build(c.params, controllers.get(ctl), f"controllers.{ctl}")
+                     for ctl, c in CONTROLLERS.items()},
+        base_noise=_build(BaseNoiseModel, noise.get("base"), "noise.base"),
+        arm_noise=_build(ArmNoiseModel, noise.get("arm"), "noise.arm"),
         skills=skills, benchmark=benchmark,
     )
 
@@ -397,43 +338,42 @@ def resolve_config_path(name_or_path) -> Path:
     raise FileNotFoundError(f"no config file or bundled config named {name_or_path!r}")
 
 
+def _read_yaml(path):
+    try:
+        with open(path) as f:
+            return yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise ConfigError(str(path), f"parse error: {exc}") from None
+
+
 def load_config(name_or_path) -> RobotConfig:
     """Load and validate a robot config from a path or a bundled config name."""
     path = resolve_config_path(name_or_path)
-    try:
-        with open(path) as f:
-            raw = yaml.safe_load(f)
-    except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"parse error: {exc}") from None
-    return parse_config(raw, name_hint=str(path))
+    return parse_config(_read_yaml(path), name_hint=str(path))
 
 
 def load_scene(path) -> Scene:
     """Scene description (objects + floor extent) in the same YAML format as robot configs."""
-    try:
-        with open(path) as f:
-            raw = yaml.safe_load(f)
-    except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"parse error: {exc}") from None
+    raw = _read_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "scene root must be a mapping")
     objects = []
     for i, obj in enumerate(raw.get("objects") or []):
         path_i = f"objects[{i}]"
+        obj = _mapping(obj, path_i, ("shape", "xyz", "yaw", "size", "radius", "height"))
         shape = _require(obj, "shape", path_i)
         xyz = _vector(_require(obj, "xyz", path_i), 3, f"{path_i}.xyz")
-        yaw = float(obj.get("yaw", 0.0))
+        yaw = _number(obj.get("yaw", 0.0), f"{path_i}.yaw")
         pose = SE3.from_xyz_rpy(xyz, [0.0, 0.0, yaw])
         if shape == "box":
             dims = tuple(_vector(_require(obj, "size", path_i), 3, f"{path_i}.size"))
         elif shape == "cylinder":
-            dims = (_positive(_require(obj, "radius", path_i), f"{path_i}.radius"),
-                    _positive(_require(obj, "height", path_i), f"{path_i}.height"))
+            dims = tuple(_number(_require(obj, key, path_i), f"{path_i}.{key}", positive=True)
+                         for key in ("radius", "height"))
         else:
             raise ConfigError(f"{path_i}.shape", f"unknown shape {shape!r}")
         try:
             objects.append(SceneObject(shape=shape, pose=pose, dimensions=dims))
         except ValueError as exc:
             raise ConfigError(path_i, str(exc)) from None
-    return Scene(objects=objects,
-                 floor_radius=_positive(raw.get("floor_radius", 1.5), "floor_radius"))
+    return _build(Scene, raw, "", objects=objects)

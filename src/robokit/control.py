@@ -222,6 +222,9 @@ def proportional_step(state: Pose2D, goal: Pose2D, phase: str,
 
 # --- dynamic window approach --------------------------------------------------
 
+CLEARANCE_CAP = 0.5   # m; DWA clearance beyond this scores 1.0
+
+
 @dataclass(frozen=True)
 class DwaParams:
     """Sampling window, rollout horizon, and score weights for the DWA controller."""
@@ -233,7 +236,6 @@ class DwaParams:
     weight_distance: float = 0.2
     weight_velocity: float = 0.1
     weight_clearance: float = 0.3
-    clearance_cap: float = 0.5     # m; clearance beyond this scores 1.0
     position_tolerance: float = 0.015
     heading_tolerance: float = math.radians(1.5)
 
@@ -281,7 +283,7 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
       distance   1 / (stop-point distance to goal + 0.05), stop point = rollout
                  end plus the braking distance v^2/(2 a_max) along the final heading
       velocity   v / v_max
-      clearance  min rollout clearance / clearance_cap (only when a grid is given)
+      clearance  min rollout clearance / CLEARANCE_CAP (only when a grid is given)
     """
     x, y, th = _rollout_endpoints(state, v, w, params.horizon)
     brake = v * v / (2.0 * limits.a_max)
@@ -305,7 +307,7 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
             c = grid.clearance_at(px, py)
             collided |= c <= 0.0
             clearance = np.minimum(clearance, c)
-        clear_term = np.clip(clearance / params.clearance_cap, 0.0, 1.0)
+        clear_term = np.clip(clearance / CLEARANCE_CAP, 0.0, 1.0)
         score = score + params.weight_clearance * clear_term
         score[collided] = -np.inf
     return score

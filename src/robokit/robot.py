@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RobotConfig
+from .config import SUBSYSTEMS, RobotConfig
 from .control import CONTROLLERS, DEFAULT_CONTROLLER, tracking_law, within_tolerance
 from .errors import CapabilityError, IkConvergenceError
 from .geometry import SE3, Pose2D, zyx_from_quat
 from .kinematics import inverse_kinematics, pose_from_pitch_roll
 from .trajectory import ControlCommand, TimedTrajectory
-
-SUBSYSTEM_NAMES = ("arm", "base", "camera", "gripper")
 
 
 @dataclass
@@ -122,10 +120,11 @@ class BaseInterface:
 
     def track_trajectory(self, traj: TimedTrajectory,
                          controller: str = DEFAULT_CONTROLLER) -> list:
-        """Run the chosen feedback law along `traj`; returns one TrackingEntry per step."""
+        """Run the chosen feedback law along `traj`, then settle; one TrackingEntry per step."""
         params = self._config.controller_params(controller)
         law = tracking_law(controller)(traj, params, self._settings.limits)
         commands, poses, _ = self._drive(law, math.inf)
+        self._settle([])   # the log holds the reference steps only
         return [TrackingEntry(traj.state(k), odom, true, cmd)
                 for k, ((odom, true), cmd) in enumerate(zip(poses, commands))]
 
@@ -270,7 +269,7 @@ class Robot:
 
     def __init__(self, config: RobotConfig, backend):
         missing = []
-        for name in SUBSYSTEM_NAMES:
+        for name in SUBSYSTEMS:
             if getattr(config, f"use_{name}") and name not in backend.capabilities:
                 missing.append(name)
         if missing:

@@ -48,10 +48,6 @@ class BaseNoiseModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"BaseNoiseModel.{name} must be >= 0")
 
-    def scaled(self, factor: float) -> "BaseNoiseModel":
-        return BaseNoiseModel(self.actuation_v * factor, self.actuation_omega * factor,
-                              self.odometry_v * factor, self.odometry_omega * factor)
-
 
 ZERO_BASE_NOISE = BaseNoiseModel()
 

@@ -7,6 +7,7 @@ repeatability band) so every run is deterministic.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,12 +179,11 @@ def test_criterion_06_repeatability(locobot):
     exact = 2.0 / 3.0 + 3.0 * math.sqrt(1.0 / 3.0)
     hand_ok = rp == pytest.approx(exact, abs=1e-12) and round(rp, 3) == 2.399
 
-    sigma = ArmNoiseModel((0.13e-3, 0.07e-3, 0.33e-3))
+    noisy = replace(locobot, arm_noise=ArmNoiseModel((0.13e-3, 0.07e-3, 0.33e-3)))
     rps = []
     for seed in RP_SEEDS:
-        backend = SimBackend(locobot, seed=seed)
-        backend.arm_sim.noise = sigma
-        result = run_arm_repeatability(locobot, backend, reps=10, master_seed=seed)
+        result = run_arm_repeatability(noisy, SimBackend(noisy, seed=seed), reps=10,
+                                       master_seed=seed)
         rps.extend(p.rp_mm for p in result.poses if not p.skipped)
     mean_rp = float(np.mean(rps))
     band_ok = 0.58 * 0.7 <= mean_rp <= 0.58 * 1.3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,9 +122,8 @@ def test_repeatability_zero_noise_rp_zero(locobot_cfg):
 
 
 def test_repeatability_with_injected_noise(locobot_cfg):
-    backend = SimBackend(locobot_cfg, seed=3)
-    backend.arm_sim.noise = ArmNoiseModel((0.13e-3, 0.07e-3, 0.33e-3))
-    result = run_arm_repeatability(locobot_cfg, backend, reps=10)
+    noisy = replace(locobot_cfg, arm_noise=ArmNoiseModel((0.13e-3, 0.07e-3, 0.33e-3)))
+    result = run_arm_repeatability(noisy, SimBackend(noisy, seed=3), reps=10)
     for pose in result.poses:
         assert 0.1 < pose.rp_mm < 2.0  # sub-mm noise scale propagates
 

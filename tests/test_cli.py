@@ -121,3 +121,21 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "bench" in proc.stdout and "track" in proc.stdout
+
+
+def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
+    import os
+
+    import robokit
+
+    text = (bundled_config_dir() / "locobot.yaml").read_text()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("  z_floor: 0.02", "  z_floor: null"))
+    src = str(Path(robokit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "robokit.cli", "bench", "arm", "--robot",
+                           str(bad), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "skills.z_floor" in proc.stderr
+    assert "Traceback" not in proc.stderr

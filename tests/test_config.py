@@ -161,3 +161,25 @@ def test_pre_push_below_push_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     assert "pre_push" in exc.value.key
+
+
+@pytest.mark.parametrize("path, value", [
+    ("skills.z_floor", None),
+    ("camera.mount", 7),
+    ("controllers.dwa.samples_v", 0),
+    ("controllers.dwa.samples_v", 2.5),
+    ("base.v_max", math.nan),
+    ("skills.dbscan_epss", 0.03),
+    ("base.amax", 0.5),
+    ("controllers.dwa.clearance_cap", 0.5),
+])
+def test_malformed_value_names_exact_key(path, value):
+    raw = locobot_raw()
+    *sections, key = path.split(".")
+    node = raw
+    for s in sections:
+        node = node[s]
+    node[key] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.key == path

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robokit.control import (ALIGN, DONE, DRIVE, FINAL_ROTATE, CostWeights, DwaParams,
-                             ProportionalParams, dwa_step, euler_step,
+from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, CostWeights,
+                             DwaParams, ProportionalParams, dwa_step, euler_step,
                              linearize_dynamics, lqr_backward_pass, lqr_track_step,
                              proportional_step, riccati_gains, tracking_error)
 from robokit.geometry import Pose2D
@@ -272,7 +272,7 @@ def independent_dwa_oracle(state, current, goal, grid, params, limits, dt):
                     clear = min(clear, c)
                     if c <= 0.0:
                         collided = True
-                score += params.weight_clearance * min(1.0, max(0.0, clear / params.clearance_cap))
+                score += params.weight_clearance * min(1.0, max(0.0, clear / CLEARANCE_CAP))
             if collided:
                 continue
             key = (-score, abs(w), v)

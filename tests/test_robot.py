@@ -244,3 +244,14 @@ def test_track_trajectory_log_length(locobot_cfg):
     assert len(log) == traj.horizon
     empty = TimedTrajectory(0.05, np.zeros((1, 3)), np.zeros((0, 2)))
     assert bot.base.track_trajectory(empty, "lqr") == []
+
+
+def test_track_trajectory_ends_at_rest(locobot_cfg):
+    from robokit.trajectory import circle_trajectory
+
+    for controller in ("lqr", "proportional"):
+        bot = fresh_robot(locobot_cfg)
+        traj = circle_trajectory(0.4, 0.2, locobot_cfg.base.dt)
+        assert len(bot.base.track_trajectory(traj, controller)) == traj.horizon
+        velocity = bot.backend.base_sim.velocity
+        assert (velocity.v, velocity.omega) == (0.0, 0.0)

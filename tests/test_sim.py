@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,9 +195,9 @@ def test_noise_streams_independent():
     from robokit.backends import SimBackend
 
     def base_trace(arm_sigma):
-        backend = SimBackend(cfg, seed=123)
+        noise = ArmNoiseModel((1e-4, 1e-4, 1e-4)) if arm_sigma else cfg.arm_noise
+        backend = SimBackend(replace(cfg, arm_noise=noise), seed=123)
         if arm_sigma:
-            backend.arm_sim.noise = ArmNoiseModel((1e-4, 1e-4, 1e-4))
             backend.arm_sim.settle(np.array([0.3, 0.4, -0.6, 0.3, 0.0]), 0.05)
         for _ in range(50):
             backend.base_sim.step(ControlCommand(0.2, 0.1), 0.05)
