@@ -66,8 +66,8 @@ class SimBackend:
     """Full kinematic simulator for one robot; subsystems follow the config flags.
 
     `capabilities` may be narrowed (e.g. {"arm", "gripper"}) to model partial
-    hardware. `zero_noise=True` silences every noise source while keeping the
-    same RNG stream structure.
+    hardware. `zero_noise=True` silences base and arm noise while keeping the
+    same RNG stream structure; camera depth noise (`camera.depth_sigma`) stays on.
     """
 
     def __init__(self, config: RobotConfig, seed: int = 0, scene: Scene | None = None,

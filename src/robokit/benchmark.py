@@ -19,7 +19,7 @@ from .config import RobotConfig
 from .control import DEFAULT_CONTROLLER, tracking_law
 from .errors import IkConvergenceError
 from .geometry import SE3, Pose2D, angle_diff, planar_distance
-from .kinematics import inverse_kinematics
+from .kinematics import forward_kinematics, inverse_kinematics
 from .robot import make_robot
 from .trajectory import TimedTrajectory, circle_trajectory
 
@@ -211,8 +211,7 @@ def run_arm_repeatability(config: RobotConfig, backend, poses=None, reps=None,
     result = RepeatabilityResult(robot=config.name, master_seed=master_seed, reps=reps)
 
     named = [(f"pose{i + 1}", tuple(p)) for i, p in enumerate(poses)]
-    named.append(("home", tuple(np.round(
-        robot.backend.arm_sim.chain.check_dimension(config.home), 12))))
+    named.append(("home", tuple(forward_kinematics(config.chain, config.home).translation)))
 
     for name, target in named:
         if name == "home":

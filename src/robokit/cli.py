@@ -1,14 +1,17 @@
 """Command-line entry point: benchmarks, trajectory tracking, grid planning,
 and skill demos against the in-process simulator.
 
-Exit codes: 0 success, 1 validation error (bad flags/config), 2 runtime
-failure (no path, IK abort, blocked motion). With a fixed --seed and --label,
-every subcommand writes byte-identical report files across runs.
+Exit codes: 0 success, 1 bad input (flags, config, scene, map or pose, or a
+missing file), 2 runtime failure (no path, no clusters, IK abort, blocked
+motion, aborted skill). `main` maps exceptions to these codes; the commands
+raise and do not catch. With a fixed --seed and --label, every subcommand
+writes byte-identical report files across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,11 +23,11 @@ from .benchmark import (default_protocols, run_arm_repeatability, run_base_bench
                         run_tracking_benchmark)
 from .config import load_config, load_scene, bundled_config_dir
 from .control import CONTROLLERS, DEFAULT_CONTROLLER, TRACKING_CONTROLLERS
-from .errors import ConfigError, NoClustersError, NoPathError, RobokitError
+from .errors import RobokitError
 from .geometry import Pose2D
 from .planning import OccupancyGrid, plan_global
-from .report import (SvgCanvas, write_base_report, write_repeatability_report,
-                     write_tracking_report, _write_csv)
+from .report import (write_base_report, write_grasp_report, write_plan_report,
+                     write_push_report, write_repeatability_report, write_tracking_report)
 from .robot import make_robot
 from .skills import ImageGrasp, backproject_grasp, execute_grasp, push_pipeline
 
@@ -52,26 +55,19 @@ def _out_dir(args, subcommand: str) -> Path:
 def _parse_pose(text: str) -> Pose2D:
     parts = text.split(",")
     if len(parts) != 3:
-        raise SystemExit1(f"pose must be X,Y,THETA, got {text!r}")
+        raise ValueError(f"pose must be X,Y,THETA, got {text!r}")
     try:
-        return Pose2D(float(parts[0]), float(parts[1]), float(parts[2]))
+        values = [float(s) for s in parts]
     except ValueError:
-        raise SystemExit1(f"pose must be numeric X,Y,THETA, got {text!r}") from None
+        raise ValueError(f"pose must be numeric X,Y,THETA, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"pose must be finite, got {text!r}")
+    return Pose2D(*values)
 
 
-class SystemExit1(SystemExit):
-    def __init__(self, message: str):
-        sys.stderr.write(f"error: {message}\n")
-        super().__init__(1)
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        sys.stderr.write(f"error: {message}\n")
-        super().__init__(2)
-
-
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, run):
+    """The flags every subcommand takes, and `run`, the function that executes it."""
+    p.set_defaults(run=run)
     p.add_argument("--robot", default="locobot",
                    help="robot config: bundled name or YAML path (default: locobot)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -92,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = bench.add_subparsers(dest="bench_target", required=True, parser_class=_Parser)
 
     bb = bsub.add_parser("base", help="base position-control accuracy trials")
-    _add_common(bb)
+    _add_common(bb, cmd_bench_base)
     bb.add_argument("--controller", default="all",
                     choices=[_CLI_NAMES.get(c, c) for c in CONTROLLERS] + ["all"],
                     help="controller to benchmark (default: all)")
@@ -102,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable all simulator noise")
 
     ba = bsub.add_parser("arm", help="arm pose repeatability")
-    _add_common(ba)
+    _add_common(ba, cmd_bench_arm)
     ba.add_argument("--reps", type=int, default=None,
                     help="repetitions per pose, count (default: config value)")
 
     tr = sub.add_parser("track", help="trajectory tracking")
-    _add_common(tr)
+    _add_common(tr, cmd_track)
     tr.add_argument("--shape", default="circle", choices=["circle"],
                     help="reference shape (default: circle)")
     tr.add_argument("--radius", type=float, default=0.4,
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable all simulator noise")
 
     pl = sub.add_parser("plan", help="occupancy-grid global planning")
-    _add_common(pl)
+    _add_common(pl, cmd_plan)
     pl.add_argument("--map", required=True, help="grid map file (see docs/formats.md)")
     pl.add_argument("--start", required=True, help="start pose X,Y,THETA (m, m, rad)")
     pl.add_argument("--goal", required=True, help="goal pose X,Y,THETA (m, m, rad)")
@@ -130,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = demo.add_subparsers(dest="demo_target", required=True, parser_class=_Parser)
 
     dp = dsub.add_parser("push", help="point-cloud pushing pipeline on a synthetic scene")
-    _add_common(dp)
+    _add_common(dp, cmd_demo_push)
     dp.add_argument("--scene", default=None,
                     help="scene YAML (default: bundled one-cube scene)")
 
     dg = dsub.add_parser("grasp", help="image-grasp back-projection and execution")
-    _add_common(dg)
+    _add_common(dg, cmd_demo_grasp)
     dg.add_argument("--u", type=float, default=320.0, help="grasp pixel column, px")
     dg.add_argument("--v", type=float, default=430.0, help="grasp pixel row, px")
     dg.add_argument("--angle", type=float, default=0.0,
@@ -146,17 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_checked(args):
-    try:
-        return load_config(args.robot)
-    except FileNotFoundError as exc:
-        raise SystemExit1(str(exc)) from None
-    except ConfigError as exc:
-        raise SystemExit1(str(exc)) from None
-
-
 def cmd_bench_base(args) -> int:
-    cfg = _load_config_checked(args)
+    cfg = load_config(args.robot)
     controllers = (tuple(CONTROLLERS) if args.controller == "all"
                    else (CONTROLLER_ALIASES.get(args.controller, args.controller),))
     factory = sim_backend_factory(cfg, zero_noise=args.zero_noise)
@@ -170,7 +157,7 @@ def cmd_bench_base(args) -> int:
 
 
 def cmd_bench_arm(args) -> int:
-    cfg = _load_config_checked(args)
+    cfg = load_config(args.robot)
     backend = SimBackend(cfg, seed=args.seed)
     result = run_arm_repeatability(cfg, backend, reps=args.reps, master_seed=args.seed)
     out = _out_dir(args, "bench-arm")
@@ -181,9 +168,7 @@ def cmd_bench_arm(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_config_checked(args)
-    if args.radius <= 0:
-        raise SystemExit1("--radius must be positive")
+    cfg = load_config(args.robot)
     backend = SimBackend(cfg, seed=args.seed, zero_noise=args.zero_noise)
     report = run_tracking_benchmark(cfg, backend, shape=args.shape, radius=args.radius,
                                     controller=CONTROLLER_ALIASES.get(args.controller,
@@ -197,24 +182,11 @@ def cmd_track(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    try:
-        grid = OccupancyGrid.load(args.map)
-    except FileNotFoundError:
-        raise SystemExit1(f"map file not found: {args.map}") from None
-    except ValueError as exc:
-        raise SystemExit1(f"bad map file: {exc}") from None
-    start = _parse_pose(args.start)
-    goal = _parse_pose(args.goal)
-    try:
-        waypoints = plan_global(grid, start, goal, inflation=args.inflation)
-    except ValueError as exc:
-        raise SystemExit1(str(exc)) from None
-    except NoPathError as exc:
-        raise SystemExit2(f"NoPath: {exc}") from None
+    grid = OccupancyGrid.load(args.map)
+    waypoints = plan_global(grid, _parse_pose(args.start), _parse_pose(args.goal),
+                            inflation=args.inflation)
     out = _out_dir(args, "plan")
-    _write_csv(out / "waypoints.csv", "plan-waypoints", ["index", "x_m", "y_m"],
-               [[i, float(x), float(y)] for i, (x, y) in enumerate(waypoints)])
-    _plan_svg(grid, waypoints, out / "plan.svg")
+    write_plan_report(grid, waypoints, out)
     print(f"waypoints ({len(waypoints)}):")
     for x, y in waypoints:
         print(f"  {x:.3f}, {y:.3f}")
@@ -222,121 +194,55 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _plan_svg(grid: OccupancyGrid, waypoints, path: Path) -> None:
-    x1 = grid.origin.x + grid.width * grid.resolution
-    y1 = grid.origin.y + grid.height * grid.resolution
-    canvas = SvgCanvas((grid.origin.x, x1), (grid.origin.y, y1))
-    for ix in range(grid.width):
-        for iy in range(grid.height):
-            if grid.cells[ix, iy] != 0:
-                cx0 = grid.origin.x + ix * grid.resolution
-                cy0 = grid.origin.y + iy * grid.resolution
-                color = "#444" if grid.cells[ix, iy] == 1 else "#bbb"
-                canvas.rect_world(cx0, cy0, cx0 + grid.resolution, cy0 + grid.resolution, color)
-    canvas.polyline(list(waypoints), "red", 2.0)
-    canvas.save(path)
-
-
 def cmd_demo_push(args) -> int:
-    cfg = _load_config_checked(args)
-    scene_path = args.scene or (bundled_config_dir() / "push_scene.yaml")
-    try:
-        scene = load_scene(scene_path)
-    except FileNotFoundError:
-        raise SystemExit1(f"scene file not found: {scene_path}") from None
-    except ConfigError as exc:
-        raise SystemExit1(str(exc)) from None
-    backend = SimBackend(cfg, seed=args.seed, scene=scene)
-    robot = make_robot(cfg, backend)
-    try:
-        plan, result, artifacts = push_pipeline(robot, seed=args.seed)
-    except NoClustersError as exc:
-        raise SystemExit2(f"NoClusters: {exc}") from None
+    cfg = load_config(args.robot)
+    scene = load_scene(args.scene or (bundled_config_dir() / "push_scene.yaml"))
+    robot = make_robot(cfg, SimBackend(cfg, seed=args.seed, scene=scene))
+    plan, result, artifacts = push_pipeline(robot, seed=args.seed)
     out = _out_dir(args, "demo-push")
-    _write_csv(out / "push_plan.csv", "push-plan",
-               ["point", "x_m", "y_m", "z_m"],
-               [["pre_push", *map(float, plan.pre_push_pt)],
-                ["push", *map(float, plan.push_pt)],
-                ["obj_center", *map(float, plan.obj_center)]])
-    _write_csv(out / "phases.csv", "push-phases", ["phase", "ok"],
-               [[name, int(ok)] for name, ok in result.phases])
-    from .sim import save_xyz
-    save_xyz(out / "cloud.xyz", artifacts["filtered"])
-    _push_svg(artifacts, plan, out / "push.svg")
+    write_push_report(plan, result, artifacts["filtered"], out)
     status = "completed" if result.reached else f"aborted: {result.detail}"
     print(f"push {status}; plan: push {np.round(plan.push_pt, 4).tolist()} -> "
           f"center {np.round(plan.obj_center, 4).tolist()}")
     print(f"report files in {out}")
-    if not result.reached:
-        raise SystemExit2(f"push aborted: {result.detail}")
-    return 0
-
-
-def _push_svg(artifacts, plan, path: Path) -> None:
-    filtered = artifacts["filtered"]
-    if len(filtered) == 0:
-        return
-    xr = (float(filtered[:, 0].min()) - 0.05, float(filtered[:, 0].max()) + 0.05)
-    yr = (float(filtered[:, 1].min()) - 0.05, float(filtered[:, 1].max()) + 0.05)
-    canvas = SvgCanvas(xr, yr)
-    for p in filtered:
-        canvas.circle(p[0], p[1], 1.0, "#999")
-    sweep_end = plan.push_pt + 2.0 * (plan.obj_center - plan.push_pt)
-    canvas.polyline([(plan.push_pt[0], plan.push_pt[1]), (sweep_end[0], sweep_end[1])],
-                    "red", 2.0)
-    canvas.circle(plan.obj_center[0], plan.obj_center[1], 4.0, "blue")
-    canvas.text(10, 16, "cluster points: grey, sweep: red, centroid: blue")
-    canvas.save(path)
+    if not result.reached:   # the report files are written either way
+        sys.stderr.write(f"error: push aborted: {result.detail}\n")
+    return 0 if result.reached else 2
 
 
 def cmd_demo_grasp(args) -> int:
-    cfg = _load_config_checked(args)
-    backend = SimBackend(cfg, seed=args.seed)
-    robot = make_robot(cfg, backend)
+    cfg = load_config(args.robot)
+    robot = make_robot(cfg, SimBackend(cfg, seed=args.seed))
     robot.camera.set_pan_tilt(0.0, args.tilt)
     grasp = ImageGrasp(u=args.u, v=args.v, angle=args.angle, depth=args.depth)
-    try:
-        position, roll = backproject_grasp(grasp, cfg.camera.intrinsics, robot.camera.pose())
-    except ValueError as exc:
-        raise SystemExit1(str(exc)) from None
+    position, roll = backproject_grasp(grasp, cfg.camera.intrinsics, robot.camera.pose())
     result = execute_grasp(robot, position, roll)
     out = _out_dir(args, "demo-grasp")
-    _write_csv(out / "grasp.csv", "grasp",
-               ["u_px", "v_px", "angle_rad", "depth_m", "x_m", "y_m", "z_m", "roll_rad",
-                "reached"],
-               [[float(args.u), float(args.v), float(args.angle), float(args.depth),
-                 float(position[0]), float(position[1]), float(position[2]), float(roll),
-                 int(result.reached)]])
-    _write_csv(out / "phases.csv", "grasp-phases", ["phase", "ok"],
-               [[name, int(ok)] for name, ok in result.phases])
+    write_grasp_report(grasp, position, roll, result, out)
     print(f"grasp position {np.round(position, 4).tolist()} roll {roll:.3f} rad; "
           f"{'completed' if result.reached else 'aborted: ' + result.detail}")
     print(f"report files in {out}")
-    if not result.reached:
-        raise SystemExit2(f"grasp aborted: {result.detail}")
-    return 0
+    if not result.reached:   # the report files are written either way
+        sys.stderr.write(f"error: grasp aborted: {result.detail}\n")
+    return 0 if result.reached else 2
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the one place where an exception becomes an exit code.
+
+    ValueError (ConfigError included) and FileNotFoundError exit 1; any other
+    RobokitError exits 2, with its type named ("NoPath", "NoClusters", ...).
+    """
     try:
-        args = parser.parse_args(argv)
-        if args.command == "bench":
-            return cmd_bench_base(args) if args.bench_target == "base" else cmd_bench_arm(args)
-        if args.command == "track":
-            return cmd_track(args)
-        if args.command == "plan":
-            return cmd_plan(args)
-        if args.command == "demo":
-            return cmd_demo_push(args) if args.demo_target == "push" else cmd_demo_grasp(args)
-        raise SystemExit1(f"unknown command {args.command!r}")
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:   # argparse: --help exits 0, usage errors exit 1 (_Parser)
         return exc.code if isinstance(exc.code, int) else 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RobokitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}\n")
         return 2
 
 

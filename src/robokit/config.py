@@ -156,6 +156,8 @@ def _number(value, path: str, integer: bool = False, positive: bool = False):
     v = int(value) if integer else float(value)
     if positive and v <= 0:
         raise ConfigError(path, f"must be strictly positive, got {v}")
+    if integer and v < 0:   # every integer field is a count
+        raise ConfigError(path, f"must be >= 0, got {v}")
     return v
 
 
@@ -176,9 +178,10 @@ def _value(value, like, path: str, name: str):
     """`value` checked against `like`, the field's default: a string, a list of
     n-vectors (the repeatability poses), an n-vector, an int or a float."""
     if isinstance(like, str):
-        choices = _CHOICES.get(name, "any string")
-        if not isinstance(value, str) or (name in _CHOICES and value not in choices):
-            raise ConfigError(path, f"expected one of {choices}, got {value!r}")
+        choices = _CHOICES.get(name)
+        if not isinstance(value, str) or (choices and value not in choices):
+            expected = f"one of {choices}" if choices else "a string"
+            raise ConfigError(path, f"expected {expected}, got {value!r}")
         return value
     if isinstance(like, tuple) and like and isinstance(like[0], tuple):
         if not isinstance(value, list):
@@ -237,7 +240,7 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
     for i, j in enumerate(joints_spec):
         path = f"arm.joints[{i}]"
         j = _mapping(j, path, _JOINT_KEYS)
-        name = _require(j, "name", path)
+        name = _value(_require(j, "name", path), "", f"{path}.name", "name")
         jtype = j.get("type", "revolute")
         if jtype != "revolute":
             raise ConfigError(f"{path}.type", f"only revolute joints are supported, got {jtype!r}")
@@ -278,7 +281,7 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
     schema = raw.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema}")
-    name = _require(raw, "name", "")
+    name = _value(_require(raw, "name", ""), "", "name", "name")
     subsystems = _mapping(_require(raw, "subsystems", ""), "subsystems", SUBSYSTEMS)
     flags = {}
     for sub in SUBSYSTEMS:
@@ -304,7 +307,7 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
         raise ConfigError("benchmark.repeatability_reps", "need at least 2 repetitions")
 
     return RobotConfig(
-        name=str(name),
+        name=name,
         use_arm=flags["arm"], use_base=flags["base"],
         use_camera=flags["camera"], use_gripper=flags["gripper"],
         frames=asdict(_build(_Frames, raw.get("frames"), "frames")),
@@ -357,8 +360,11 @@ def load_scene(path) -> Scene:
     raw = _read_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "scene root must be a mapping")
+    specs = raw.get("objects")
+    if not isinstance(specs, (list, type(None))):
+        raise ConfigError("objects", f"expected a list of objects, got {specs!r}")
     objects = []
-    for i, obj in enumerate(raw.get("objects") or []):
+    for i, obj in enumerate(specs or []):
         path_i = f"objects[{i}]"
         obj = _mapping(obj, path_i, ("shape", "xyz", "yaw", "size", "radius", "height"))
         shape = _require(obj, "shape", path_i)

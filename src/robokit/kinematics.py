@@ -79,7 +79,8 @@ class KinematicChain:
 
 @dataclass(frozen=True)
 class IkParams:
-    """Damped-least-squares solver settings; all values strictly positive."""
+    """Damped-least-squares solver settings; all values strictly positive except
+    `restarts`, which may be 0."""
 
     position_tolerance: float = 1e-6   # m
     orientation_tolerance: float = 1e-6  # rad
@@ -93,6 +94,8 @@ class IkParams:
                      "damping", "step_clamp"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"IkParams.{name} must be positive")
+        if self.restarts < 0:
+            raise ValueError("IkParams.restarts must be >= 0")
 
 
 @lru_cache(maxsize=64)

@@ -169,16 +169,25 @@ class OccupancyGrid:
         lines = text.splitlines()
         if len(lines) < 4:
             raise ValueError("grid file: missing header")
-        header = {}
-        for i, key in enumerate(("width", "height", "resolution", "origin")):
+        header = []
+        for i, (key, kind, n, what) in enumerate((
+                ("width", int, 1, "a positive integer"),
+                ("height", int, 1, "a positive integer"),
+                ("resolution", float, 1, "a positive finite number"),
+                ("origin", float, 3, "three finite numbers"))):
             parts = lines[i].split()
             if not parts or parts[0] != key:
                 raise ValueError(f"grid file: line {i + 1} must start with '{key}'")
-            header[key] = parts[1:]
-        width = int(header["width"][0])
-        height = int(header["height"][0])
-        resolution = float(header["resolution"][0])
-        ox, oy, oth = (float(s) for s in header["origin"])
+            try:
+                values = [kind(s) for s in parts[1:]]
+            except ValueError:
+                values = []
+            if len(values) != n or not all(math.isfinite(v) and (v > 0 or key == "origin")
+                                           for v in values):
+                raise ValueError(f"grid file: line {i + 1}: '{key}' must be {what}, "
+                                 f"got {' '.join(parts[1:])!r}")
+            header += values
+        width, height, resolution, ox, oy, oth = header
         rows = lines[4:4 + height]
         if len(rows) != height:
             raise ValueError(f"grid file: expected {height} rows, got {len(rows)}")

@@ -330,27 +330,3 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
         pts = pts + rays * (depth_sigma * rng.standard_normal(len(pts)))[:, None]
     return pts, tags
-
-
-def save_xyz(path, points: np.ndarray, tags: np.ndarray | None = None) -> None:
-    """Plain-text XYZ rows, one point per line, optional integer tag column."""
-    with open(path, "w") as f:
-        for i, p in enumerate(points):
-            row = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
-            if tags is not None:
-                row += f" {int(tags[i])}"
-            f.write(row + "\n")
-
-
-def load_xyz(path) -> tuple[np.ndarray, np.ndarray | None]:
-    pts, tags = [], []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-            if len(parts) > 3:
-                tags.append(int(parts[3]))
-    points = np.array(pts).reshape(-1, 3)
-    return points, (np.array(tags, dtype=np.int8) if tags else None)

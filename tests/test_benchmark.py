@@ -10,6 +10,7 @@ from robokit.benchmark import (BaseTrialProtocol, cross_track_errors, default_pr
                                run_base_benchmark, run_tracking_benchmark, trial_seed)
 from robokit.config import load_config
 from robokit.geometry import Pose2D
+from robokit.kinematics import forward_kinematics
 from robokit.report import (format_cell, read_csv, write_base_report,
                             write_repeatability_report, write_tracking_report)
 from robokit.sim import ArmNoiseModel
@@ -119,6 +120,17 @@ def test_repeatability_zero_noise_rp_zero(locobot_cfg):
     for pose in result.poses:
         assert not pose.skipped
         assert pose.rp_mm == pytest.approx(0.0, abs=1e-9)
+
+
+def test_repeatability_home_row_targets_home_position(tmp_path):
+    cfg = load_config("sawyer_sim")
+    result = run_arm_repeatability(cfg, SimBackend(cfg, seed=0, zero_noise=True), reps=2)
+    _, header, rows = read_csv(write_repeatability_report(result, tmp_path)[0])
+    home = dict(zip(header, rows[-1]))
+    expected = forward_kinematics(cfg.chain, cfg.home).translation
+    assert home["pose"] == "home"
+    assert [float(home[f"target_{a}"]) for a in "xyz"] == expected.tolist()
+    assert np.linalg.norm(expected) > 0.1
 
 
 def test_repeatability_with_injected_noise(locobot_cfg):

@@ -139,3 +139,32 @@ def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "skills.z_floor" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["plan", "--map", "{tmp}/missing.grid", "--start", "0,0,0", "--goal", "1,1,0"],
+     1, "missing.grid"),
+    (["bench", "arm", "--robot", "{tmp}/missing.yaml"], 1, "missing.yaml"),
+    (["demo", "push", "--scene", "{tmp}/missing.yaml"], 1, "missing.yaml"),
+    (["plan", "--map", "{tmp}/bare_width.grid", "--start", "0,0,0", "--goal", "1,1,0"],
+     1, "grid file: line 1"),
+    (["demo", "push", "--scene", "{tmp}/objects_5.yaml"], 1, "objects"),
+    (["plan", "--map", MAP, "--start", "nan,0.5,0", "--goal", "3.5,2.5,0"],
+     1, "pose must be finite"),
+    (["plan", "--map", "{tmp}/walled.grid", "--start", "0.15,0.15,0", "--goal", "0.85,0.85,0"],
+     2, "NoPath"),
+    (["demo", "push", "--scene", "{tmp}/no_objects.yaml"], 2, "NoClusters"),
+], ids=["missing-map", "missing-robot", "missing-scene", "bad-grid-header", "objects-not-list",
+        "nan-pose", "disconnected-goal", "no-clusters"])
+def test_error_exit_codes(tmp_path, capsys, args, code, message):
+    from robokit.planning import OccupancyGrid
+
+    walled = OccupancyGrid.empty(10, 10, 0.1)
+    walled.cells[5, :] = 1
+    walled.save(tmp_path / "walled.grid")
+    (tmp_path / "bare_width.grid").write_text("width\nheight 2\nresolution 0.1\norigin 0 0 0\n")
+    (tmp_path / "objects_5.yaml").write_text("objects: 5\n")
+    (tmp_path / "no_objects.yaml").write_text("objects: []\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    assert run_cli(argv, tmp_path / "out", "t") == code
+    assert message in capsys.readouterr().err

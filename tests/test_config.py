@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robokit.config import load_config, parse_config, resolve_config_path
+from robokit.config import load_config, load_scene, parse_config, resolve_config_path
 from robokit.errors import ConfigError
 
 import yaml
@@ -133,6 +133,15 @@ def test_omitted_sections_use_dataclass_defaults():
     assert cfg.benchmark == BenchmarkSettings()
 
 
+@pytest.mark.parametrize("objects", ["5", "{a: 1}"])
+def test_scene_objects_must_be_a_list(tmp_path, objects):
+    scene = tmp_path / "scene.yaml"
+    scene.write_text(f"objects: {objects}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_scene(scene)
+    assert exc.value.key == "objects"
+
+
 def test_parse_error_is_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed\n")
@@ -172,13 +181,16 @@ def test_pre_push_below_push_rejected():
     ("skills.dbscan_epss", 0.03),
     ("base.amax", 0.5),
     ("controllers.dwa.clearance_cap", 0.5),
+    ("arm.ik.restarts", -1),
+    ("name", None),
+    ("arm.joints[0].name", None),
 ])
 def test_malformed_value_names_exact_key(path, value):
     raw = locobot_raw()
-    *sections, key = path.split(".")
+    *sections, key = path.replace("[", ".").replace("]", "").split(".")
     node = raw
     for s in sections:
-        node = node[s]
+        node = node[int(s) if isinstance(node, list) else s]
     node[key] = value
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

@@ -156,6 +156,9 @@ def test_ik_params_validation():
         IkParams(damping=0.0)
     with pytest.raises(ValueError):
         IkParams(position_tolerance=-1.0)
+    with pytest.raises(ValueError):
+        IkParams(restarts=-1)
+    assert IkParams(restarts=0).restarts == 0
 
 
 def test_pitch_roll_pose_bearing_yaw():

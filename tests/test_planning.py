@@ -56,6 +56,23 @@ def test_grid_file_errors():
         OccupancyGrid.loads("width 2\nheight 2\n")
 
 
+@pytest.mark.parametrize("header, line", [
+    ("width\nheight 2\nresolution 0.1\norigin 0 0 0", 1),
+    ("width 2 3\nheight 2\nresolution 0.1\norigin 0 0 0", 1),
+    ("width 0\nheight 2\nresolution 0.1\norigin 0 0 0", 1),
+    ("width 2\nheight 2.5\nresolution 0.1\norigin 0 0 0", 2),
+    ("width 2\nheight 2\nresolution nan\norigin 0 0 0", 3),
+    ("width 2\nheight 2\nresolution -0.1\norigin 0 0 0", 3),
+    ("width 2\nheight 2\nresolution 0.1\norigin 0 0", 4),
+    ("width 2\nheight 2\nresolution 0.1\norigin nan 0 0", 4),
+    ("width 2\nheight 2\nresolution 0.1\norigin 0 inf 0", 4),
+], ids=["bare-width", "two-widths", "zero-width", "fractional-height", "nan-resolution",
+        "negative-resolution", "short-origin", "nan-origin", "inf-origin"])
+def test_grid_file_bad_header_names_line(header, line):
+    with pytest.raises(ValueError, match=f"^grid file: line {line}"):
+        OccupancyGrid.loads(header + "\n..\n..\n")
+
+
 def test_empty_grid_straight_path():
     g = OccupancyGrid.empty(20, 20, 0.1)
     path = plan_global(g, Pose2D(0.15, 0.15, 0), Pose2D(1.85, 1.85, 0))

@@ -7,9 +7,10 @@ import pytest
 from robokit.config import load_config, load_scene
 from robokit.geometry import SE3, Pose2D
 from robokit.kinematics import forward_kinematics
+from robokit.report import read_xyz, write_xyz
 from robokit.sim import (ArmNoiseModel, ArmSim, BaseNoiseModel, CameraIntrinsics,
                          DiffDriveSim, Scene, SceneObject, TAG_FLOOR, TAG_OBJECT,
-                         load_xyz, render_point_cloud, save_xyz, subsystem_rngs)
+                         render_point_cloud, subsystem_rngs)
 from robokit.trajectory import ControlCommand, VelocityLimits
 
 LIMITS = VelocityLimits(v_max=5.0, omega_max=5.0, a_max=1e6, alpha_max=1e6)
@@ -210,8 +211,8 @@ def test_xyz_roundtrip(tmp_path):
     pts = np.array([[0.1, -0.2, 0.3], [1.5, 2.5, -3.5]])
     tags = np.array([0, 1], dtype=np.int8)
     path = tmp_path / "cloud.xyz"
-    save_xyz(path, pts, tags)
-    pts2, tags2 = load_xyz(path)
+    write_xyz(path, pts, tags)
+    pts2, tags2 = read_xyz(path)
     assert np.array_equal(pts, pts2)
     assert np.array_equal(tags, tags2)
 
