@@ -230,15 +230,16 @@ def cmd_demo_grasp(args) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; the one place where an exception becomes an exit code.
 
-    ValueError (ConfigError included) and FileNotFoundError exit 1; any other
-    RobokitError exits 2, with its type named ("NoPath", "NoClusters", ...).
+    ValueError (ConfigError included) and OSError (a missing or unreadable
+    file, a directory given as a file, ...) exit 1; any other RobokitError
+    exits 2, with its type named ("NoPath", "NoClusters", ...).
     """
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:   # argparse: --help exits 0, usage errors exit 1 (_Parser)
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RobokitError as exc:

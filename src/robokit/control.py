@@ -300,13 +300,11 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
     if grid is not None:
         n_sub = max(2, int(math.ceil(params.horizon / 0.1)))
         ts = np.linspace(0.0, params.horizon, n_sub + 1)[1:]
-        clearance = np.full(v.shape, np.inf)
-        collided = np.zeros(v.shape, dtype=bool)
-        for t in ts:
-            px, py, _ = _rollout_endpoints(state, v, w, t)
-            c = grid.clearance_at(px, py)
-            collided |= c <= 0.0
-            clearance = np.minimum(clearance, c)
+        rollouts = [_rollout_endpoints(state, v, w, t) for t in ts]
+        c = grid.clearance_at(np.stack([r[0] for r in rollouts]),   # one row per sub-step
+                              np.stack([r[1] for r in rollouts]))
+        collided = np.any(c <= 0.0, axis=0)
+        clearance = c.min(axis=0)
         clear_term = np.clip(clearance / CLEARANCE_CAP, 0.0, 1.0)
         score = score + params.weight_clearance * clear_term
         score[collided] = -np.inf

@@ -42,7 +42,8 @@ class OccupancyGrid:
         self.cells = np.asarray(self.cells, dtype=np.int8)
         if self.cells.ndim != 2:
             raise ValueError("cells must be 2-D")
-        self._clearance = None
+        self._cache = {}          # derived field name -> (key, read-only array)
+        self._cache_cells = None  # (shape, bytes) of the `cells` the cache was built from
 
     @property
     def width(self) -> int:
@@ -75,17 +76,35 @@ class OccupancyGrid:
                 cx, cy = self.cell_to_world(ix, iy)
                 if x0 <= cx <= x1 and y0 <= cy <= y1:
                     self.cells[ix, iy] = value
-        self._clearance = None
 
     # --- obstacle fields ------------------------------------------------
 
     def blocked_mask(self) -> np.ndarray:
         return self.cells != FREE
 
+    def _derived(self, name: str, key, build) -> np.ndarray:
+        """The derived field `name` for `key`, cached until `key` or `cells` change."""
+        cells = (self.cells.shape, self.cells.tobytes())
+        if cells != self._cache_cells:
+            self._cache, self._cache_cells = {}, cells
+        hit = self._cache.get(name)
+        if hit is None or hit[0] != key:
+            hit = self._cache[name] = (key, build())
+            hit[1].flags.writeable = False
+        return hit[1]
+
     def inflate(self, radius: float) -> np.ndarray:
-        """Blocked mask dilated by a Euclidean disk of `radius` meters."""
-        blocked = self.blocked_mask()
+        """Blocked mask dilated by a Euclidean disk of `radius` meters.
+
+        Derived fields (this mask, for the last radius asked, and the clearance
+        field) are cached per grid, returned read-only, and recomputed on the
+        next call after any change to `cells`, whether by `set_box` or a direct write.
+        """
         r = int(math.ceil(radius / self.resolution - 1e-9))
+        return self._derived("inflate", r, lambda: self._dilate(r))
+
+    def _dilate(self, r: int) -> np.ndarray:
+        blocked = self.blocked_mask()
         if r <= 0:
             return blocked
         out = blocked.copy()
@@ -104,9 +123,11 @@ class OccupancyGrid:
         """Approximate distance (m) from each cell center to the nearest blocked cell.
 
         Two-pass 3-4 chamfer transform (error <= ~8%); good enough for DWA scoring.
+        Cached, read-only and recomputed after a change to `cells`, like `inflate`.
         """
-        if self._clearance is not None:
-            return self._clearance
+        return self._derived("clearance", self.resolution, self._chamfer)
+
+    def _chamfer(self) -> np.ndarray:
         blocked = self.blocked_mask()
         big = 10 ** 6
         d = np.where(blocked, 0, big).astype(np.int64)
@@ -139,8 +160,7 @@ class OccupancyGrid:
                 if ix > 0 and iy < h - 1:
                     best = min(best, d[ix - 1, iy + 1] + 4)
                 d[ix, iy] = best
-        self._clearance = d.astype(float) / 3.0 * self.resolution
-        return self._clearance
+        return d.astype(float) / 3.0 * self.resolution
 
     def clearance_at(self, x, y) -> np.ndarray:
         """Clearance (m) at world points; 0 inside blocked cells, +inf outside the grid."""
@@ -223,78 +243,67 @@ def astar(blocked: np.ndarray, start: tuple[int, int],
     adjacent orthogonal cells free (no corner cutting). Ties expand the lowest
     (f, h, cell index) first, making the expansion order deterministic.
     Octile-distance heuristic (admissible and consistent for these costs).
+    Cells are flat indices into the mask padded by one blocked cell per side,
+    which orders them as (ix, iy) does and needs no bounds test.
     """
-    w, h = blocked.shape
     if blocked[start] or blocked[goal]:
         raise NoPathError("start or goal cell is blocked")
+    stride = blocked.shape[1] + 2
+    wall = np.pad(np.asarray(blocked, dtype=bool), 1, constant_values=True).tobytes()
+    moves = [(dx * stride + dy, dx, dy, _SQRT2 if dx and dy else 1.0)
+             for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    gx, gy = goal[0] + 1, goal[1] + 1
+    src, dst = (start[0] + 1) * stride + start[1] + 1, gx * stride + gy
 
-    def heuristic(c):
-        dx = abs(c[0] - goal[0])
-        dy = abs(c[1] - goal[1])
+    def heuristic(cx, cy):
+        dx = abs(cx - gx)
+        dy = abs(cy - gy)
         return (dx + dy) + (_SQRT2 - 2.0) * min(dx, dy)
 
-    def index(c):
-        return c[0] * h + c[1]
-
-    g = {start: 0.0}
-    parent = {start: None}
+    g = {src: 0.0}
+    parent = {src: None}
     closed = set()
-    open_heap = [(heuristic(start), heuristic(start), index(start), start)]
+    h0 = heuristic(start[0] + 1, start[1] + 1)
+    open_heap = [(h0, h0, src)]
     while open_heap:
-        f, _, _, cell = heapq.heappop(open_heap)
+        _, _, cell = heapq.heappop(open_heap)
         if cell in closed:
             continue
-        if cell == goal:
+        if cell == dst:
             path = []
-            c = cell
-            while c is not None:
-                path.append(c)
-                c = parent[c]
-            return path[::-1], g[goal]
+            while cell is not None:
+                cx, cy = divmod(cell, stride)
+                path.append((cx - 1, cy - 1))
+                cell = parent[cell]
+            return path[::-1], g[dst]
         closed.add(cell)
-        cx, cy = cell
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = cx + dx, cy + dy
-                if not (0 <= nx < w and 0 <= ny < h) or blocked[nx, ny]:
-                    continue
-                if dx != 0 and dy != 0 and (blocked[cx + dx, cy] or blocked[cx, cy + dy]):
-                    continue
-                step = _SQRT2 if dx != 0 and dy != 0 else 1.0
-                ng = g[cell] + step
-                n = (nx, ny)
-                if n not in g or ng < g[n] - 1e-12:
-                    g[n] = ng
-                    parent[n] = cell
-                    hn = heuristic(n)
-                    heapq.heappush(open_heap, (ng + hn, hn, index(n), n))
+        cx, cy = divmod(cell, stride)
+        gc = g[cell]
+        for move, dx, dy, step in moves:
+            n = cell + move     # a diagonal move's two orthogonal cells are n - dy and cell + dy
+            if wall[n] or (dx and dy and (wall[n - dy] or wall[cell + dy])):
+                continue
+            ng = gc + step
+            if n not in g or ng < g[n] - 1e-12:
+                g[n] = ng
+                parent[n] = cell
+                hn = heuristic(cx + dx, cy + dy)
+                heapq.heappush(open_heap, (ng + hn, hn, n))
     raise NoPathError("goal not reachable from start")
-
-
-def supercover_cells(x0: float, y0: float, x1: float, y1: float,
-                     grid: OccupancyGrid) -> list[tuple[int, int]]:
-    """All cells a world-space segment touches (conservative sampling at quarter-resolution)."""
-    length = math.hypot(x1 - x0, y1 - y0)
-    n = max(1, int(math.ceil(length / (0.25 * grid.resolution))))
-    cells = []
-    seen = set()
-    for i in range(n + 1):
-        t = i / n
-        c = grid.world_to_cell(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-        if c not in seen:
-            seen.add(c)
-            cells.append(c)
-    return cells
 
 
 def line_of_sight(blocked: np.ndarray, grid: OccupancyGrid,
                   p0: tuple[float, float], p1: tuple[float, float]) -> bool:
-    for ix, iy in supercover_cells(p0[0], p0[1], p1[0], p1[1], grid):
-        if not grid.in_bounds(ix, iy) or blocked[ix, iy]:
-            return False
-    return True
+    """True when every quarter-cell sample of the segment p0-p1 lies in a free cell on the grid."""
+    (x0, y0), (x1, y1) = p0, p1
+    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / (0.25 * grid.resolution))))
+    t = np.arange(n + 1) / n
+    ix = np.floor((x0 + t * (x1 - x0) - grid.origin.x) / grid.resolution).astype(np.intp)
+    iy = np.floor((y0 + t * (y1 - y0) - grid.origin.y) / grid.resolution).astype(np.intp)
+    # each index is monotone in t, so the end samples bound all the others
+    if not (grid.in_bounds(ix[0], iy[0]) and grid.in_bounds(ix[-1], iy[-1])):
+        return False
+    return not blocked[ix, iy].any()
 
 
 def shortcut_path(points: list[tuple[float, float]], blocked: np.ndarray,

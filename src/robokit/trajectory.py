@@ -308,8 +308,8 @@ def generate_smooth_trajectory(start: Pose2D, goal: Pose2D, limits: VelocityLimi
 def circle_trajectory(radius: float, speed: float, dt: float = 0.05,
                       start: Pose2D = Pose2D(), loops: float = 1.0) -> TimedTrajectory:
     """Closed circular reference at constant (v, omega); counterclockwise, tangent at `start`."""
-    if radius <= 0 or speed <= 0:
-        raise ValueError("radius and speed must be positive")
+    if not (0 < radius < math.inf and 0 < speed < math.inf):
+        raise ValueError(f"radius and speed must be positive and finite, got {radius!r}, {speed!r}")
     omega = speed / radius
     n = max(1, round(loops * 2.0 * math.pi / (omega * dt)))
     cmd = ControlCommand(speed, omega)

@@ -154,8 +154,12 @@ def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
     (["plan", "--map", "{tmp}/walled.grid", "--start", "0.15,0.15,0", "--goal", "0.85,0.85,0"],
      2, "NoPath"),
     (["demo", "push", "--scene", "{tmp}/no_objects.yaml"], 2, "NoClusters"),
+    (["track", "--radius", "inf"], 1, "radius and speed must be positive and finite"),
+    (["track", "--radius", "nan"], 1, "radius and speed must be positive and finite"),
+    (["plan", "--map", "{tmp}", "--start", "0,0,0", "--goal", "1,1,0"], 1, "Is a directory"),
 ], ids=["missing-map", "missing-robot", "missing-scene", "bad-grid-header", "objects-not-list",
-        "nan-pose", "disconnected-goal", "no-clusters"])
+        "nan-pose", "disconnected-goal", "no-clusters", "inf-radius", "nan-radius",
+        "map-is-directory"])
 def test_error_exit_codes(tmp_path, capsys, args, code, message):
     from robokit.planning import OccupancyGrid
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robokit.errors import NoPathError
 from robokit.geometry import Pose2D
@@ -35,6 +37,114 @@ def dijkstra_cost(blocked, start, goal):
                     dist[(nx, ny)] = nd
                     heapq.heappush(heap, (nd, (nx, ny)))
     return None
+
+
+def reference_line_of_sight(blocked, grid, p0, p1):
+    """Scalar line of sight: every quarter-cell sample, in order, lies in a free cell."""
+    (x0, y0), (x1, y1) = p0, p1
+    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / (0.25 * grid.resolution))))
+    for i in range(n + 1):
+        t = i / n
+        ix, iy = grid.world_to_cell(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        if not grid.in_bounds(ix, iy) or blocked[ix, iy]:
+            return False
+    return True
+
+
+def reference_astar(blocked, start, goal):
+    """Tuple-keyed A* with the same costs, heuristic and (f, h, ix * height + iy) tie-break."""
+    w, h = blocked.shape
+    if blocked[start] or blocked[goal]:
+        raise NoPathError("start or goal cell is blocked")
+
+    def heuristic(c):
+        dx = abs(c[0] - goal[0])
+        dy = abs(c[1] - goal[1])
+        return (dx + dy) + (math.sqrt(2.0) - 2.0) * min(dx, dy)
+
+    g = {start: 0.0}
+    parent = {start: None}
+    closed = set()
+    heap = [(heuristic(start), heuristic(start), start[0] * h + start[1], start)]
+    while heap:
+        _, _, _, cell = heapq.heappop(heap)
+        if cell in closed:
+            continue
+        if cell == goal:
+            path = []
+            while cell is not None:
+                path.append(cell)
+                cell = parent[cell]
+            return path[::-1], g[goal]
+        closed.add(cell)
+        cx, cy = cell
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                nx, ny = cx + dx, cy + dy
+                if (dx == 0 and dy == 0) or not (0 <= nx < w and 0 <= ny < h) or blocked[nx, ny]:
+                    continue
+                if dx != 0 and dy != 0 and (blocked[cx + dx, cy] or blocked[cx, cy + dy]):
+                    continue
+                ng = g[cell] + (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
+                n = (nx, ny)
+                if n not in g or ng < g[n] - 1e-12:
+                    g[n] = ng
+                    parent[n] = cell
+                    hn = heuristic(n)
+                    heapq.heappush(heap, (ng + hn, hn, nx * h + ny, n))
+    raise NoPathError("goal not reachable from start")
+
+
+@st.composite
+def blocked_grids(draw, max_side=24):
+    """A (width, height) boolean mask with a random obstacle density (zero included)."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.4]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).uniform(size=(w, h)) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_grids(), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+       st.lists(st.floats(-0.3, 1.3), min_size=4, max_size=4))
+def test_line_of_sight_matches_scalar_reference(blocked, res, origin, ends):
+    """Equal booleans on random grids and segments, including segments that leave the grid."""
+    w, h = blocked.shape
+    grid = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), blocked.astype(np.int8))
+    p0 = (origin[0] + ends[0] * w * res, origin[1] + ends[1] * h * res)
+    p1 = (origin[0] + ends[2] * w * res, origin[1] + ends[3] * h * res)
+    assert line_of_sight(blocked, grid, p0, p1) == reference_line_of_sight(blocked, grid, p0, p1)
+
+
+def _mirrored_wall(transpose: bool) -> np.ndarray:
+    blocked = np.zeros((5, 5), dtype=bool)
+    blocked[1:4, 2] = True
+    return blocked.T if transpose else blocked
+
+
+@settings(max_examples=200, deadline=None)
+# a wall across the middle of a 5x5 grid, start and goal on its mirror axis: the two
+# detours tie in f and h, so only the cell-index tie-break picks the side
+@example(_mirrored_wall(False), (0.5, 0.0, 0.5, 0.9))
+@example(_mirrored_wall(True), (0.0, 0.5, 0.9, 0.5))
+@given(blocked_grids(), st.tuples(st.floats(0, 1, exclude_max=True),
+                                  st.floats(0, 1, exclude_max=True),
+                                  st.floats(0, 1, exclude_max=True),
+                                  st.floats(0, 1, exclude_max=True)))
+def test_astar_matches_tuple_reference(blocked, where):
+    """Equal paths and costs, or both no path, on grids empty or cluttered."""
+    w, h = blocked.shape
+    start = (int(where[0] * w), int(where[1] * h))
+    goal = (int(where[2] * w), int(where[3] * h))
+    try:
+        expected = reference_astar(blocked, start, goal)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            astar(blocked, start, goal)
+        return
+    assert astar(blocked, start, goal) == expected
 
 
 def test_grid_file_roundtrip_bit_exact():
@@ -166,3 +276,33 @@ def test_clearance_field_zero_inside_obstacles():
     assert field[10, 10] == 0.0
     assert field[10, 12] == pytest.approx(0.2, abs=0.05)
     assert g.clearance_at(10.0, 10.0)[0] == math.inf  # outside the grid
+
+
+def test_clearance_field_follows_direct_writes():
+    g = OccupancyGrid.empty(20, 20, 0.1)
+    assert g.clearance_at(1.05, 1.05)[0] > 1.0
+    g.cells[10, 10] = 1
+    assert g.clearance_at(1.05, 1.05)[0] == 0.0
+    g.cells[10, 10] = 0
+    assert np.array_equal(g.clearance_field(), OccupancyGrid.empty(20, 20, 0.1).clearance_field())
+
+
+def test_plan_global_sees_wall_written_after_a_query():
+    g = OccupancyGrid.empty(30, 30, 0.1)
+    start, goal = Pose2D(0.5, 1.0, 0), Pose2D(2.5, 1.0, 0)
+    assert plan_global(g, start, goal, inflation=0.1) == [(0.5, 1.0), (2.5, 1.0)]
+    g.cells[15, :25] = 1  # wall, gap at the top
+    path = plan_global(g, start, goal, inflation=0.1)
+    assert any(y > 2.5 for _, y in path)
+    blocked = g.inflate(0.1)
+    assert blocked[15, 0] and blocked[14, 10]
+    for a, b in zip(path[:-1], path[1:]):
+        assert line_of_sight(blocked, g, a, b)
+
+
+def test_derived_fields_are_read_only():
+    g = OccupancyGrid.empty(10, 10, 0.1)
+    for field in (g.inflate(0.0), g.inflate(0.2), g.clearance_field()):
+        with pytest.raises(ValueError):
+            field[0, 0] = 1
+    assert g.inflate(0.2) is g.inflate(0.2)

@@ -150,3 +150,10 @@ def test_timed_trajectory_validation():
         TimedTrajectory(0.0, np.zeros((2, 3)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         TimedTrajectory(0.05, np.zeros((3, 3)), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("radius, speed", [(math.inf, 0.2), (math.nan, 0.2), (0.4, math.inf),
+                                           (0.4, math.nan), (0.0, 0.2), (0.4, -0.1)])
+def test_circle_rejects_non_positive_or_non_finite(radius, speed):
+    with pytest.raises(ValueError, match="positive and finite"):
+        circle_trajectory(radius, speed)
