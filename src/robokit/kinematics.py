@@ -6,14 +6,14 @@ end-effector adds one more fixed transform, so
     T(q) = fixed_0 · R_0(q_0) · fixed_1 · R_1(q_1) · ... · tool
 
 All public functions are pure and reentrant. The hot path (FK + Jacobian
-inside the IK loop) runs on cached per-joint rotation matrices.
+inside the IK loop) runs on per-joint arrays each chain builds once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +44,16 @@ class Joint:
             raise ValueError(f"joint {self.name}: lower limit must be < upper limit")
 
 
+def _read_only(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class KinematicChain:
-    """Ordered revolute joints plus a fixed tool transform."""
+    """Ordered revolute joints plus a fixed tool transform. The arrays that FK, the Jacobian
+    and IK read are cached_property values: built on first use, kept in __dict__."""
 
     joints: tuple[Joint, ...]
     tool: SE3 = field(default_factory=SE3.identity)
@@ -55,17 +62,33 @@ class KinematicChain:
     def dof(self) -> int:
         return len(self.joints)
 
-    @property
+    @cached_property
     def lower_limits(self) -> np.ndarray:
-        return np.array([j.lower for j in self.joints])
+        return _read_only([j.lower for j in self.joints])
 
-    @property
+    @cached_property
     def upper_limits(self) -> np.ndarray:
-        return np.array([j.upper for j in self.joints])
+        return _read_only([j.upper for j in self.joints])
 
-    @property
+    @cached_property
     def velocity_limits(self) -> np.ndarray:
-        return np.array([j.max_velocity for j in self.joints])
+        return _read_only([j.max_velocity for j in self.joints])
+
+    @cached_property
+    def _links(self) -> tuple:
+        """Per joint: origin rotation and translation, axis, its skew matrix K and K @ K."""
+        links = []
+        for j in self.joints:
+            m = j.origin.matrix()
+            a = np.asarray(j.axis, dtype=float)
+            k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+            links.append((m[:3, :3], m[:3, 3], a, k, k @ k))
+        return tuple(links)
+
+    @cached_property
+    def _tool_rt(self) -> tuple:
+        m = self.tool.matrix()
+        return m[:3, :3], m[:3, 3]
 
     def clamp(self, q) -> np.ndarray:
         return np.clip(np.asarray(q, dtype=float), self.lower_limits, self.upper_limits)
@@ -98,47 +121,27 @@ class IkParams:
             raise ValueError("IkParams.restarts must be >= 0")
 
 
-@lru_cache(maxsize=64)
-def _chain_cache(chain: KinematicChain):
-    """Per-joint origin matrices, skew matrices of the axes, and tool transform."""
-    Ro, to, K, K2, axes = [], [], [], [], []
-    for j in chain.joints:
-        m = j.origin.matrix()
-        Ro.append(m[:3, :3])
-        to.append(m[:3, 3])
-        a = np.asarray(j.axis, dtype=float)
-        k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-        K.append(k)
-        K2.append(k @ k)
-        axes.append(a)
-    tm = chain.tool.matrix()
-    lo = chain.lower_limits
-    hi = chain.upper_limits
-    return Ro, to, K, K2, axes, tm[:3, :3], tm[:3, 3], lo, hi
-
-
 _I3 = np.eye(3)
 
 
 def _frames_fast(chain: KinematicChain, q: np.ndarray):
     """World axis directions and origins per joint plus the (R, t) of the tool frame."""
-    Ro, to, K, K2, axes, Rt, tt, _, _ = _chain_cache(chain)
-    R = _I3
-    t = np.zeros(3)
-    n = len(axes)
-    world_axes = np.empty((n, 3))
-    world_origins = np.empty((n, 3))
-    for i in range(n):
-        t = t + R @ to[i]
-        R = R @ Ro[i]
-        world_axes[i] = R @ axes[i]
+    R, t = _I3, np.zeros(3)
+    world_axes = np.empty((chain.dof, 3))
+    world_origins = np.empty((chain.dof, 3))
+    for i, ((Ro, to, axis, K, K2), qi) in enumerate(zip(chain._links, q)):
+        t = t + R @ to
+        R = R @ Ro
+        world_axes[i] = R @ axis
         world_origins[i] = t
-        qi = q[i]
-        Rj = _I3 + math.sin(qi) * K[i] + (1.0 - math.cos(qi)) * K2[i]
-        R = R @ Rj
-    t_ee = t + R @ tt
-    R_ee = R @ Rt
-    return world_axes, world_origins, R_ee, t_ee
+        R = R @ (_I3 + math.sin(qi) * K + (1.0 - math.cos(qi)) * K2)
+    Rt, tt = chain._tool_rt
+    return world_axes, world_origins, R @ Rt, t + R @ tt
+
+
+def _linear_rows(axes: np.ndarray, origins: np.ndarray, t_ee: np.ndarray) -> np.ndarray:
+    """The Jacobian's linear-velocity rows (3 x dof): axis x (tool origin - joint origin)."""
+    return np.cross(axes, t_ee[None, :] - origins).T
 
 
 def _rotation_vector_from_matrix(R: np.ndarray) -> np.ndarray:
@@ -174,14 +177,7 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric Jacobian (6 x dof) at the end-effector origin: rows 0-2 linear, 3-5 angular."""
     q = chain.check_dimension(q)
     axes, origins, _, t_ee = _frames_fast(chain, q)
-    J = np.zeros((6, chain.dof))
-    J[:3, :] = np.cross(axes, t_ee[None, :] - origins).T
-    J[3:, :] = axes.T
-    return J
-
-
-def position_jacobian(chain: KinematicChain, q) -> np.ndarray:
-    return jacobian(chain, q)[:3, :]
+    return np.vstack([_linear_rows(axes, origins, t_ee), axes.T])
 
 
 # far-field stall detection: give up on a basin only when the combined error is
@@ -197,7 +193,7 @@ class _Solve:
         self.chain = chain
         self.params = params
         self.position_only = position_only
-        (_, _, _, _, _, _, _, self.lo, self.hi) = _chain_cache(chain)
+        self.lo, self.hi = chain.lower_limits, chain.upper_limits
         self.mid = 0.5 * (self.lo + self.hi)
         self.Rt = None if position_only else target.matrix()[:3, :3]
         self.pt = np.asarray(target.translation, dtype=float)
@@ -224,16 +220,15 @@ class _Solve:
         best_tot, best_it = math.inf, 0
         for it in range(iters):
             axes, origins, t_ee, dp, ep, dori, eo = self.errors(q)
+            J = _linear_rows(axes, origins, t_ee)
             if position_only:
                 if ep <= p.position_tolerance:
                     return q, True
-                J = np.cross(axes, t_ee[None, :] - origins).T
                 err = dp
             else:
                 if self.converged(ep, eo):
                     return q, True
-                Jl = np.cross(axes, t_ee[None, :] - origins).T
-                J = np.vstack([Jl, _ORI_WEIGHT * axes.T])
+                J = np.vstack([J, _ORI_WEIGHT * axes.T])
                 err = np.concatenate([dp, _ORI_WEIGHT * dori])
             if (ep, eo) < self.best:
                 self.best = (ep, eo)

@@ -39,6 +39,9 @@ class OccupancyGrid:
     def __post_init__(self):
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        if self.origin.theta != 0:
+            raise ValueError(f"origin theta must be 0 (rotated grids are not supported), "
+                             f"got {self.origin.theta!r}")
         self.cells = np.asarray(self.cells, dtype=np.int8)
         if self.cells.ndim != 2:
             raise ValueError("cells must be 2-D")
@@ -70,12 +73,11 @@ class OccupancyGrid:
         return 0 <= ix < self.width and 0 <= iy < self.height
 
     def set_box(self, x0: float, y0: float, x1: float, y1: float, value: int = OCCUPIED):
-        """Mark all cells whose centers fall inside the axis-aligned box."""
-        for ix in range(self.width):
-            for iy in range(self.height):
-                cx, cy = self.cell_to_world(ix, iy)
-                if x0 <= cx <= x1 and y0 <= cy <= y1:
-                    self.cells[ix, iy] = value
+        """Mark all cells whose centers (as `cell_to_world` gives them) fall inside the
+        axis-aligned box."""
+        cx = self.origin.x + (np.arange(self.width) + 0.5) * self.resolution
+        cy = self.origin.y + (np.arange(self.height) + 0.5) * self.resolution
+        self.cells[np.ix_((x0 <= cx) & (cx <= x1), (y0 <= cy) & (cy <= y1))] = value
 
     # --- obstacle fields ------------------------------------------------
 
@@ -208,6 +210,8 @@ class OccupancyGrid:
                                  f"got {' '.join(parts[1:])!r}")
             header += values
         width, height, resolution, ox, oy, oth = header
+        if oth != 0:
+            raise ValueError(f"grid file: line 4: origin theta must be 0, got {oth!r}")
         rows = lines[4:4 + height]
         if len(rows) != height:
             raise ValueError(f"grid file: expected {height} rows, got {len(rows)}")

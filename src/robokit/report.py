@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (BenchReport, RepeatabilityResult, TrackingReport)
+from .skills import push_sweep
 
 CSV_SCHEMA_VERSION = 1
 
@@ -272,7 +273,7 @@ def write_push_report(plan, result, cloud: np.ndarray, out_dir) -> list[Path]:
         canvas = SvgCanvas(xr, yr)
         for p in cloud:
             canvas.circle(p[0], p[1], 1.0, "#999")
-        sweep_end = plan.push_pt + 2.0 * (plan.obj_center - plan.push_pt)
+        sweep_end = plan.push_pt + push_sweep(plan)
         canvas.polyline([(plan.push_pt[0], plan.push_pt[1]), (sweep_end[0], sweep_end[1])],
                         "red", 2.0)
         canvas.circle(plan.obj_center[0], plan.obj_center[1], 4.0, "blue")

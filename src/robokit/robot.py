@@ -39,6 +39,14 @@ class MotionResult:
     detail: str = ""
 
 
+def _check_finite(**values) -> None:
+    """Fail fast on NaN or infinite input, naming the argument."""
+    for name, value in values.items():
+        array = value.as_array() if isinstance(value, Pose2D) else value
+        if not np.all(np.isfinite(np.asarray(array, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrackingEntry:
     reference: Pose2D
@@ -95,6 +103,7 @@ class BaseInterface:
     def go_to_absolute(self, target, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:
         """Drive to an odometric-frame target pose; blocks until tolerance or timeout."""
+        _check_finite(target=target)
         target = target if isinstance(target, Pose2D) else Pose2D.from_array(target)
         params = self._config.controller_params(controller)
         s = self._settings
@@ -115,6 +124,7 @@ class BaseInterface:
     def go_to_relative(self, rel, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:
         """Target expressed in the current odometric frame, composed under SE(2)."""
+        _check_finite(rel=rel)
         rel = rel if isinstance(rel, Pose2D) else Pose2D.from_array(rel)
         return self.go_to_absolute(self.odom_pose.compose(rel), controller, grid)
 
@@ -137,7 +147,6 @@ class ArmInterface:
         self._sim = backend.arm_sim
         self._chain = config.chain
         self._ik = config.ik
-        self._dt = 0.05
 
     @property
     def joint_positions(self) -> np.ndarray:
@@ -158,29 +167,19 @@ class ArmInterface:
 
     def set_joint_positions(self, q) -> MotionResult:
         """Blocking joint move; the result carries the attained end-effector pose."""
+        q = np.asarray(q, dtype=float)
+        _check_finite(joints=q)
         t0 = self._sim.time
-        attained = self._sim.settle(np.asarray(q, dtype=float), self._dt)
+        attained = self._sim.settle(q)
         return MotionResult(reached=True, elapsed=self._sim.time - t0,
                             joints=attained, ee_pose=self._sim.ee_pose())
 
-    def go_home(self) -> MotionResult:
-        return self.set_joint_positions(self._config.home)
-
-    def solve_pitch_roll(self, position, pitch: float, roll: float) -> np.ndarray:
-        """IK for a position + pitch + roll target (yaw follows the bearing)."""
-        target = pose_from_pitch_roll(position, pitch, roll)
-        return inverse_kinematics(self._chain, target, self._sim.q, self._ik)
-
     def set_ee_pose_pitch_roll(self, position, pitch: float, roll: float) -> MotionResult:
         """Move the end effector to a position with given pitch/roll; raises IkConvergenceError."""
-        q = self.solve_pitch_roll(position, pitch, roll)
-        return self.set_joint_positions(q)
-
-    def set_ee_position(self, position) -> MotionResult:
-        """Position-only move (orientation free); used for redundant point targets."""
-        target = SE3(np.asarray(position, dtype=float))
-        q = inverse_kinematics(self._chain, target, self._sim.q, self._ik, position_only=True)
-        return self.set_joint_positions(q)
+        _check_finite(position=position, pitch=pitch, roll=roll)
+        target = pose_from_pitch_roll(position, pitch, roll)
+        return self.set_joint_positions(
+            inverse_kinematics(self._chain, target, self._sim.q, self._ik))
 
     def move_ee_xyz(self, displacement, step: float = 0.01) -> MotionResult:
         """Straight-line Cartesian displacement executed through per-waypoint IK.
@@ -191,11 +190,12 @@ class ArmInterface:
         hold the entire orientation. An IK failure aborts with the waypoint
         index reached.
         """
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {step!r}")
         displacement = np.asarray(displacement, dtype=float)
         if displacement.shape != (3,):
             raise ValueError("displacement must be a 3-vector")
+        _check_finite(displacement=displacement)
         t0 = self._sim.time
         start_pose = self.ee_pose
         dist = float(np.linalg.norm(displacement))
@@ -220,7 +220,7 @@ class ArmInterface:
                                     joints=self.joint_positions, ee_pose=self.ee_pose,
                                     path=path,
                                     detail=f"IK failed at waypoint {i}/{n}: {exc}")
-            self._sim.settle(q, self._dt)
+            self._sim.settle(q)
             path.append(self._sim.ee_pose().translation.copy())
             seed = q
         return MotionResult(reached=True, elapsed=self._sim.time - t0,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SE3, Pose2D
-from .kinematics import KinematicChain, forward_kinematics, position_jacobian
+from .kinematics import KinematicChain, forward_kinematics, jacobian
 from .trajectory import ControlCommand, VelocityLimits, integrate_unicycle
 
 _STREAMS = ("base_actuation", "base_odometry", "arm", "camera")
@@ -114,44 +114,31 @@ class ArmSim:
         self.q = np.zeros(chain.dof) if q0 is None else chain.check_dimension(q0).copy()
         self.time = 0.0
 
-    def validate_target(self, target) -> np.ndarray:
-        target = self.chain.check_dimension(target)
-        lo, hi = self.chain.lower_limits, self.chain.upper_limits
-        for i, joint in enumerate(self.chain.joints):
-            if not lo[i] - 1e-12 <= target[i] <= hi[i] + 1e-12:
-                raise ValueError(
-                    f"joint {joint.name}: target {target[i]:.4f} outside limits "
-                    f"[{lo[i]:.4f}, {hi[i]:.4f}]")
-        return target
-
-    def step(self, target, dt: float) -> bool:
-        """One dt of slewing toward `target`; True when the target is reached."""
-        target = self.validate_target(target)
-        max_step = self.chain.velocity_limits * dt
-        delta = np.clip(target - self.q, -max_step, max_step)
-        self.q = self.q + delta
-        self.time += dt
-        return bool(np.all(self.q == target))
-
     def settle(self, target, dt: float = 0.05, max_time: float = 30.0) -> np.ndarray:
         """Slew until the target is reached, then realize the Cartesian settling noise.
 
-        The per-axis perturbation is mapped to joint space through the position
+        Every control period `dt` moves each joint by at most its velocity
+        limit times `dt`. The per-axis perturbation is mapped to joint space through the position
         Jacobian pseudoinverse, so the attained end-effector position equals the
         commanded one plus (to first order) the drawn Cartesian offset.
         """
-        target = self.validate_target(target)
-        steps = 0
-        limit = int(math.ceil(max_time / dt))
-        while not self.step(target, dt):
-            steps += 1
-            if steps > limit:
-                raise RuntimeError("arm failed to settle within max_time")
+        target = self.chain.check_dimension(target)
+        for j, x in zip(self.chain.joints, target):
+            if not j.lower - 1e-12 <= x <= j.upper + 1e-12:
+                raise ValueError(f"joint {j.name}: target {x:.4f} outside limits "
+                                 f"[{j.lower:.4f}, {j.upper:.4f}]")
+        max_step = self.chain.velocity_limits * dt
+        for _ in range(int(math.ceil(max_time / dt)) + 1):
+            self.q = self.q + np.clip(target - self.q, -max_step, max_step)
+            self.time += dt
+            if np.all(self.q == target):
+                break
+        else:
+            raise RuntimeError("arm failed to settle within max_time")
         sigma = np.asarray(self.noise.sigma)
         delta = sigma * self._rng.standard_normal(3)
         if np.any(sigma > 0):
-            J = position_jacobian(self.chain, self.q)
-            dq = np.linalg.pinv(J) @ delta
+            dq = np.linalg.pinv(jacobian(self.chain, self.q)[:3]) @ delta
             self.q = self.chain.clamp(self.q + dq)
         return self.q.copy()
 

@@ -97,6 +97,29 @@ def backproject_grasp(grasp: ImageGrasp, intrinsics: CameraIntrinsics,
     return position, roll
 
 
+def _run_phases(robot: Robot, phases) -> tuple[MotionResult, dict]:
+    """Run (name, move) pairs in order; return the skill's result and each move's by name.
+
+    The first move that raises IkConvergenceError or returns an unreached result
+    ends the skill, named in `phases` and `detail`. A move returning None succeeds.
+    """
+    done, moves = [], {}
+    t0 = robot.sim_time
+    for name, move in phases:
+        try:
+            moved = move()
+        except IkConvergenceError as exc:
+            moved = MotionResult(reached=False, detail=str(exc))
+        if moved is not None and not moved.reached:
+            return MotionResult(reached=False, elapsed=robot.sim_time - t0,
+                                phases=done + [(name, False)],
+                                detail=f"{name}: {moved.detail}"), moves
+        done.append((name, True))
+        moves[name] = moved
+    return MotionResult(reached=True, elapsed=robot.sim_time - t0, phases=done,
+                        joints=robot.arm.joint_positions, ee_pose=robot.arm.ee_pose), moves
+
+
 def execute_grasp(robot: Robot, position, roll: float,
                   pregrasp_height: float | None = None,
                   grasp_height: float | None = None) -> MotionResult:
@@ -111,25 +134,12 @@ def execute_grasp(robot: Robot, position, roll: float,
     if pregrasp_height < grasp_height:
         raise ValueError("pregrasp_height must be >= grasp_height")
     x, y = float(position[0]), float(position[1])
-    phases = []
-    t0 = robot.sim_time
-    try:
-        robot.arm.set_ee_pose_pitch_roll([x, y, pregrasp_height], math.pi / 2, roll)
-    except IkConvergenceError as exc:
-        return MotionResult(reached=False, elapsed=robot.sim_time - t0,
-                            phases=phases + [("pre_grasp", False)],
-                            detail=f"pre_grasp: {exc}")
-    phases.append(("pre_grasp", True))
-    descend = robot.arm.move_ee_xyz([0.0, 0.0, grasp_height - pregrasp_height])
-    if not descend.reached:
-        return MotionResult(reached=False, elapsed=robot.sim_time - t0,
-                            phases=phases + [("descend", False)],
-                            detail=f"descend: {descend.detail}")
-    phases.append(("descend", True))
-    robot.gripper.close()
-    phases.append(("close_gripper", True))
-    return MotionResult(reached=True, elapsed=robot.sim_time - t0, phases=phases,
-                        joints=robot.arm.joint_positions, ee_pose=robot.arm.ee_pose)
+    return _run_phases(robot, [
+        ("pre_grasp", lambda: robot.arm.set_ee_pose_pitch_roll([x, y, pregrasp_height],
+                                                               math.pi / 2, roll)),
+        ("descend", lambda: robot.arm.move_ee_xyz([0.0, 0.0, grasp_height - pregrasp_height])),
+        ("close_gripper", lambda: robot.gripper.close()),
+    ])[0]
 
 
 def filter_cloud(points: np.ndarray, z_floor: float = 0.02,
@@ -247,34 +257,16 @@ def execute_push(robot: Robot, plan: PushPlan) -> MotionResult:
     The horizontal sweep is exactly twice the planar center-minus-push vector.
     IK failure aborts with the phase name.
     """
-    phases = []
-    t0 = robot.sim_time
-    robot.gripper.close()
-    phases.append(("close_gripper", True))
-    try:
-        robot.arm.set_ee_pose_pitch_roll(plan.pre_push_pt, math.pi / 2, 0.0)
-    except IkConvergenceError as exc:
-        return MotionResult(reached=False, elapsed=robot.sim_time - t0,
-                            phases=phases + [("pre_push", False)],
-                            detail=f"pre_push: {exc}")
-    phases.append(("pre_push", True))
-    down = plan.push_pt - plan.pre_push_pt
-    descend = robot.arm.move_ee_xyz(down)
-    if not descend.reached:
-        return MotionResult(reached=False, elapsed=robot.sim_time - t0,
-                            phases=phases + [("descend", False)],
-                            detail=f"descend: {descend.detail}")
-    phases.append(("descend", True))
     sweep = push_sweep(plan)
-    push = robot.arm.move_ee_xyz(sweep)
-    if not push.reached:
-        return MotionResult(reached=False, elapsed=robot.sim_time - t0,
-                            phases=phases + [("push", False)],
-                            detail=f"push: {push.detail}")
-    phases.append(("push", True))
-    return MotionResult(reached=True, elapsed=robot.sim_time - t0, phases=phases,
-                        joints=robot.arm.joint_positions, ee_pose=robot.arm.ee_pose,
-                        path=descend.path + push.path, displacement=sweep)
+    result, moves = _run_phases(robot, [
+        ("close_gripper", lambda: robot.gripper.close()),
+        ("pre_push", lambda: robot.arm.set_ee_pose_pitch_roll(plan.pre_push_pt, math.pi / 2, 0.0)),
+        ("descend", lambda: robot.arm.move_ee_xyz(plan.push_pt - plan.pre_push_pt)),
+        ("push", lambda: robot.arm.move_ee_xyz(sweep)),
+    ])
+    if result.reached:
+        result.path, result.displacement = moves["descend"].path + moves["push"].path, sweep
+    return result
 
 
 def push_pipeline(robot: Robot, seed: int = 0) -> tuple[PushPlan, MotionResult, dict]:

@@ -45,6 +45,19 @@ def test_zero_noise_lqr_linear_convergence(locobot_cfg):
     assert max(lin_rot) < 0.5
 
 
+@pytest.mark.xfail(reason="known fault: noisy LQR on locobot_lite never meets tolerance on the "
+                          "combined (1, 1, 0) target at master seed 4, trial 0; the final "
+                          "approach runs the whole 60 s timeout and ends 12.1 mm off")
+def test_lqr_lite_combined_trial_reaches_target():
+    cfg = load_config("locobot_lite")
+    report = run_base_benchmark(cfg, sim_backend_factory(cfg), ("lqr",), default_protocols(2),
+                                master_seed=4)
+    trial = next(t for t in report.trials if t.motion_class == "combined"
+                 and t.target == Pose2D(1, 1, 0) and t.trial == 0)
+    assert trial.reached
+    assert trial.elapsed < cfg.base.timeout
+
+
 def test_report_schema_covers_all_cells(locobot_cfg):
     factory = sim_backend_factory(locobot_cfg, zero_noise=True)
     report = run_base_benchmark(locobot_cfg, factory, ("lqr", "proportional"), SMALL,
@@ -110,6 +123,19 @@ def test_rp_hand_computed_case():
     assert sl == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
     assert rp == pytest.approx(2.0 / 3.0 + 3.0 * math.sqrt(1.0 / 3.0), abs=1e-12)
     assert rp == pytest.approx(2.399, abs=1e-3)
+
+
+def test_criterion_6_noise_model_rp_exceeds_its_band():
+    """Spec oracle for acceptance criterion 6, in numpy alone: ISO RP (l_bar + 3 S_l over
+    10 reps) of Gaussian noise with per-axis sigma (0.13, 0.07, 0.33) mm averages
+    0.787 mm, above the band's 0.58 * 1.3 = 0.754 mm cap. Criterion 6 fails on the spec's
+    numbers, not on robokit's simulator."""
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((100_000, 10, 3)) * np.array([0.13, 0.07, 0.33])
+    dist = np.linalg.norm(pts - pts.mean(axis=1, keepdims=True), axis=2)
+    rp = dist.mean(axis=1) + 3.0 * dist.std(axis=1, ddof=1)
+    assert float(rp.mean()) == pytest.approx(0.787, abs=0.01)
+    assert float(rp.mean()) > 0.58 * 1.3
 
 
 def test_repeatability_zero_noise_rp_zero(locobot_cfg):

@@ -157,9 +157,11 @@ def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
     (["track", "--radius", "inf"], 1, "radius and speed must be positive and finite"),
     (["track", "--radius", "nan"], 1, "radius and speed must be positive and finite"),
     (["plan", "--map", "{tmp}", "--start", "0,0,0", "--goal", "1,1,0"], 1, "Is a directory"),
+    (["plan", "--map", "{tmp}/rotated.grid", "--start", "0.05,0.05,0", "--goal", "0.15,0.15,0"],
+     1, "grid file: line 4: origin theta must be 0"),
 ], ids=["missing-map", "missing-robot", "missing-scene", "bad-grid-header", "objects-not-list",
         "nan-pose", "disconnected-goal", "no-clusters", "inf-radius", "nan-radius",
-        "map-is-directory"])
+        "map-is-directory", "rotated-map"])
 def test_error_exit_codes(tmp_path, capsys, args, code, message):
     from robokit.planning import OccupancyGrid
 
@@ -167,6 +169,8 @@ def test_error_exit_codes(tmp_path, capsys, args, code, message):
     walled.cells[5, :] = 1
     walled.save(tmp_path / "walled.grid")
     (tmp_path / "bare_width.grid").write_text("width\nheight 2\nresolution 0.1\norigin 0 0 0\n")
+    (tmp_path / "rotated.grid").write_text("width 2\nheight 2\nresolution 0.1\norigin 0 0 0.5\n"
+                                           "..\n..\n")
     (tmp_path / "objects_5.yaml").write_text("objects: 5\n")
     (tmp_path / "no_objects.yaml").write_text("objects: []\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]

@@ -147,6 +147,44 @@ def test_astar_matches_tuple_reference(blocked, where):
     assert astar(blocked, start, goal) == expected
 
 
+def reference_set_box(grid, x0, y0, x1, y1, value):
+    """The per-cell definition: mark every cell whose `cell_to_world` center lies in the box."""
+    for ix in range(grid.width):
+        for iy in range(grid.height):
+            cx, cy = grid.cell_to_world(ix, iy)
+            if x0 <= cx <= x1 and y0 <= cy <= y1:
+                grid.cells[ix, iy] = value
+
+
+@st.composite
+def box_edges(draw, origin, res, n):
+    """A box edge anywhere around the grid, or exactly on a cell center (the boundary case)."""
+    if draw(st.booleans()):
+        return origin + (draw(st.integers(-2, n + 2)) + 0.5) * res
+    return draw(st.floats(origin - res, origin + (n + 1) * res))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), blocked_grids(max_side=20), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5)), st.sampled_from([1, 2]))
+def test_set_box_matches_per_cell_reference(data, blocked, res, origin, value):
+    """Equal cells on random grids, boxes, origins and resolutions, boxes with
+    edges on cell centers and empty (inverted) boxes included."""
+    w, h = blocked.shape
+    grid = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), blocked.astype(np.int8))
+    ref = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), blocked.astype(np.int8))
+    x0, x1 = (data.draw(box_edges(origin[0], res, w)) for _ in range(2))
+    y0, y1 = (data.draw(box_edges(origin[1], res, h)) for _ in range(2))
+    grid.set_box(x0, y0, x1, y1, value)
+    reference_set_box(ref, x0, y0, x1, y1, value)
+    assert np.array_equal(grid.cells, ref.cells)
+
+
+def test_grid_rejects_rotated_origin():
+    with pytest.raises(ValueError, match="origin theta must be 0"):
+        OccupancyGrid.empty(4, 4, 0.1, Pose2D(0.0, 0.0, 0.5))
+
+
 def test_grid_file_roundtrip_bit_exact():
     g = OccupancyGrid.empty(12, 7, 0.25, Pose2D(-1.0, 0.5, 0))
     g.cells[3, 2] = 1
@@ -176,8 +214,9 @@ def test_grid_file_errors():
     ("width 2\nheight 2\nresolution 0.1\norigin 0 0", 4),
     ("width 2\nheight 2\nresolution 0.1\norigin nan 0 0", 4),
     ("width 2\nheight 2\nresolution 0.1\norigin 0 inf 0", 4),
+    ("width 2\nheight 2\nresolution 0.1\norigin 0 0 0.5", 4),
 ], ids=["bare-width", "two-widths", "zero-width", "fractional-height", "nan-resolution",
-        "negative-resolution", "short-origin", "nan-origin", "inf-origin"])
+        "negative-resolution", "short-origin", "nan-origin", "inf-origin", "rotated-origin"])
 def test_grid_file_bad_header_names_line(header, line):
     with pytest.raises(ValueError, match=f"^grid file: line {line}"):
         OccupancyGrid.loads(header + "\n..\n..\n")

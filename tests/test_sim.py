@@ -100,6 +100,19 @@ def test_arm_settles_exactly_with_zero_noise():
     assert np.array_equal(ee.translation, ref.translation)
 
 
+def test_arm_settle_step_budget():
+    """settle slews at most ceil(max_time / dt) + 1 periods, then raises."""
+    cfg = load_config("locobot")
+    target = np.array([3.0, 0.0, 0.0, 0.0, 0.0])  # waist at 2 rad/s: 6 periods of 0.25 s
+    sim = ArmSim(cfg.chain)
+    assert np.array_equal(sim.settle(target, 0.25, max_time=1.25), target)
+    assert sim.time == 1.5
+    sim = ArmSim(cfg.chain)
+    with pytest.raises(RuntimeError, match="max_time"):
+        sim.settle(target, 0.25, max_time=1.0)
+    assert sim.time == 1.25
+
+
 def test_arm_limit_violation_names_joint():
     cfg = load_config("locobot")
     sim = ArmSim(cfg.chain, q0=cfg.home)

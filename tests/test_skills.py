@@ -89,6 +89,23 @@ def test_execute_grasp_out_of_reach_aborts_at_pre_grasp(locobot_cfg):
     assert "pre_grasp" in res.detail
 
 
+def test_execute_push_sweep_out_of_reach_aborts_at_push(locobot_cfg):
+    """A move that returns an unreached result ends the skill at its phase, with the
+    phases before it kept and its detail prefixed by the phase name."""
+    from robokit.skills import PushPlan
+
+    bot = zero_noise_robot(locobot_cfg)
+    plan = PushPlan(pre_push_pt=np.array([0.35, 0.0, 0.2]), push_pt=np.array([0.35, 0.0, 0.13]),
+                    obj_center=np.array([0.6, 0.0, 0.13]))
+    res = execute_push(bot, plan)
+    assert not res.reached
+    assert res.phases == [("close_gripper", True), ("pre_push", True), ("descend", True),
+                          ("push", False)]
+    assert res.detail.startswith("push: IK failed at waypoint ")
+    assert res.elapsed == bot.sim_time > 0.0
+    assert res.path == [] and res.displacement is None
+
+
 def test_execute_grasp_height_ordering(locobot_cfg):
     bot = zero_noise_robot(locobot_cfg)
     with pytest.raises(ValueError):
