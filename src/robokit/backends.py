@@ -11,17 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SUBSYSTEMS, RobotConfig
-from .geometry import SE3, quat_from_axis_angle, quat_from_matrix, quat_multiply
+from .geometry import SE3, axis_rotation
 from .sim import (ArmSim, DiffDriveSim, Scene, ZERO_ARM_NOISE, ZERO_BASE_NOISE,
                   render_point_cloud, subsystem_rngs)
 
 # maps the optical frame (x right, y down, z forward) into the camera body
 # frame (x forward, y left, z up)
-_OPTICAL_IN_BODY = quat_from_matrix(np.array([
+_OPTICAL_IN_BODY = np.array([
     [0.0, 0.0, 1.0],
     [-1.0, 0.0, 0.0],
     [0.0, -1.0, 0.0],
-]))
+])
 
 
 class CameraSim:
@@ -39,10 +39,9 @@ class CameraSim:
 
     def pose(self) -> SE3:
         """Camera optical frame in the robot base frame: mount ∘ Rz(pan) ∘ Ry(tilt) ∘ optical."""
-        q = quat_multiply(quat_from_axis_angle([0, 0, 1], self.pan),
-                          quat_from_axis_angle([0, 1, 0], self.tilt))
-        q = quat_multiply(q, _OPTICAL_IN_BODY)
-        return self.settings.mount @ SE3(rotation=q)
+        R = (axis_rotation((0.0, 0.0, 1.0), self.pan) @ axis_rotation((0.0, 1.0, 0.0), self.tilt)
+             @ _OPTICAL_IN_BODY)
+        return self.settings.mount @ SE3(R=R)
 
     def render(self) -> tuple[np.ndarray, np.ndarray]:
         s = self.settings

@@ -1,8 +1,10 @@
-"""Planar and spatial rigid-body geometry: angle wrapping, SE(2) poses, quaternions, SE(3) transforms.
+"""Planar and spatial rigid-body geometry: angle wrapping, SE(2) poses, SE(3) transforms.
 
 Conventions:
     * angles in radians, wrapped to (-pi, pi], counterclockwise positive
-    * quaternions ordered (w, x, y, z), unit norm
+    * rotations are 3x3 matrices; Euler angles are intrinsic Z-Y-X (yaw, pitch,
+      roll), i.e. R = Rz(yaw) @ Ry(pitch) @ Rx(roll)
+    * SE3 maps a point p to R @ p + translation
     * poses are immutable; all operations return new objects
 """
 
@@ -67,62 +69,65 @@ def planar_distance(a: Pose2D, b: Pose2D) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-# --- quaternions -----------------------------------------------------------
+# --- rotations -------------------------------------------------------------
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
-    return q / n
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise ValueError("zero rotation axis")
-    half = 0.5 * angle
-    return np.concatenate(([math.cos(half)], math.sin(half) * axis / n))
+def skew(a) -> np.ndarray:
+    """Cross-product matrix K of a 3-vector: K @ v == cross(a, v)."""
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+def axis_rotation(axis, angle: float) -> np.ndarray:
+    """Rotation by `angle` about the unit vector `axis` (Rodrigues): I + sin·K + (1 - cos)·K²."""
+    K = skew(axis)
+    return _I3 + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
-def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def zyx_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    return (axis_rotation((0.0, 0.0, 1.0), yaw) @ axis_rotation((0.0, 1.0, 0.0), pitch)
+            @ axis_rotation((1.0, 0.0, 0.0), roll))
 
 
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector(s) v by quaternion q.  v may be shape (3,) or (N, 3)."""
-    v = np.asarray(v, dtype=float)
-    w, x, y, z = q
-    u = np.array([x, y, z])
-    single = v.ndim == 1
-    vv = np.atleast_2d(v)
-    t = 2.0 * np.cross(u, vv)
-    out = vv + w * t + np.cross(u, t)
-    return out[0] if single else out
+def zyx_from_matrix(m) -> tuple[float, float, float]:
+    """Recover (yaw, pitch, roll) with pitch in [-pi/2, pi/2] where possible."""
+    pitch = math.asin(min(1.0, max(-1.0, -m[2, 0])))
+    if abs(m[2, 0]) < 1.0 - 1e-10:
+        yaw = math.atan2(m[1, 0], m[0, 0])
+        roll = math.atan2(m[2, 1], m[2, 2])
+    else:  # gimbal lock: fold roll into yaw
+        yaw = math.atan2(-m[0, 1], m[1, 1])
+        roll = 0.0
+    return yaw, pitch, roll
 
 
-def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+def rotation_vector(R: np.ndarray) -> np.ndarray:
+    """Axis*angle of a rotation matrix (the log map); angle in [0, pi]."""
+    tr = min(3.0, max(-1.0, R[0, 0] + R[1, 1] + R[2, 2]))
+    angle = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
+    if angle < 1e-9:
+        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if angle > math.pi - 1e-6:
+        # near pi: extract axis from the symmetric part
+        d = np.diagonal(R)
+        k = int(np.argmax(d))
+        axis = np.sqrt(np.maximum(0.0, (d - (tr - 1.0) / 2.0) / (2.0 - (tr - 1.0))))
+        axis = np.array([math.copysign(axis[0], R[2, 1] - R[1, 2]),
+                         math.copysign(axis[1], R[0, 2] - R[2, 0]),
+                         math.copysign(axis[2], R[1, 0] - R[0, 1])])
+        if axis[k] == 0.0:
+            axis[k] = 1.0
+        n = np.linalg.norm(axis)
+        return angle * axis / n
+    s = 2.0 * math.sin(angle)
+    return (angle / s) * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
 
 
 def quat_from_matrix(m) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a rotation matrix."""
     m = np.asarray(m, dtype=float)
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     if tr > 0:
@@ -141,59 +146,23 @@ def quat_from_matrix(m) -> np.ndarray:
         s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
         q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
                       (m[1, 2] + m[2, 1]) / s, 0.25 * s])
-    return quat_normalize(q)
-
-
-def quat_rotation_vector(q) -> np.ndarray:
-    """Axis*angle (log map) of a unit quaternion; angle in [0, pi]."""
-    w = min(1.0, max(-1.0, float(q[0])))
-    v = np.asarray(q[1:], dtype=float)
-    if w < 0:  # canonical hemisphere
-        w, v = -w, -v
-    s = np.linalg.norm(v)
-    if s < 1e-12:
-        return 2.0 * v  # small-angle: sin(a/2) ~ a/2
-    angle = 2.0 * math.atan2(s, w)
-    return angle * v / s
-
-
-def quat_from_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Intrinsic Z-Y-X (yaw, pitch, roll) Euler angles to quaternion: Rz(yaw)·Ry(pitch)·Rx(roll)."""
-    qz = quat_from_axis_angle([0, 0, 1], yaw)
-    qy = quat_from_axis_angle([0, 1, 0], pitch)
-    qx = quat_from_axis_angle([1, 0, 0], roll)
-    return quat_multiply(quat_multiply(qz, qy), qx)
-
-
-def zyx_from_quat(q) -> tuple[float, float, float]:
-    """Recover (yaw, pitch, roll) with pitch in [-pi/2, pi/2] where possible."""
-    m = quat_to_matrix(q)
-    pitch = math.asin(min(1.0, max(-1.0, -m[2, 0])))
-    if abs(m[2, 0]) < 1.0 - 1e-10:
-        yaw = math.atan2(m[1, 0], m[0, 0])
-        roll = math.atan2(m[2, 1], m[2, 2])
-    else:  # gimbal lock: fold roll into yaw
-        yaw = math.atan2(-m[0, 1], m[1, 1])
-        roll = 0.0
-    return yaw, pitch, roll
+    return q / np.linalg.norm(q)
 
 
 class SE3:
-    """Rigid transform: translation (m) + unit quaternion (w, x, y, z).
+    """Rigid transform: translation (m) and 3x3 rotation matrix R; maps p to R @ p + translation."""
 
-    Composition renormalizes the quaternion so drift stays below 1e-9 through
-    arbitrarily long chains.
-    """
+    __slots__ = ("translation", "R")
 
-    __slots__ = ("translation", "rotation")
-
-    def __init__(self, translation=(0.0, 0.0, 0.0), rotation=(1.0, 0.0, 0.0, 0.0)):
+    def __init__(self, translation=(0.0, 0.0, 0.0), R=None):
         t = np.asarray(translation, dtype=float)
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
-        q = quat_normalize(rotation)
+        R = _I3 if R is None else np.asarray(R, dtype=float)
+        if R.shape != (3, 3):
+            raise ValueError("R must be a 3x3 matrix")
         self.translation = t
-        self.rotation = q
+        self.R = R
 
     @staticmethod
     def identity() -> "SE3":
@@ -201,48 +170,44 @@ class SE3:
 
     @staticmethod
     def from_xyz_rpy(xyz, rpy) -> "SE3":
-        return SE3(xyz, quat_from_zyx(rpy[2], rpy[1], rpy[0]))
+        return SE3(xyz, zyx_matrix(rpy[2], rpy[1], rpy[0]))
 
-    @staticmethod
-    def from_matrix(m) -> "SE3":
-        m = np.asarray(m, dtype=float)
-        return SE3(m[:3, 3], quat_from_matrix(m[:3, :3]))
+    @property
+    def rotation(self) -> np.ndarray:
+        """Unit quaternion (w, x, y, z) of R. robokit itself never reads it; it exists
+        for external readers that take a pose's orientation as a quaternion."""
+        return quat_from_matrix(self.R)
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.rotation)
+        m[:3, :3] = self.R
         m[:3, 3] = self.translation
         return m
 
     def compose(self, other: "SE3") -> "SE3":
-        return SE3(
-            self.translation + quat_rotate(self.rotation, other.translation),
-            quat_multiply(self.rotation, other.rotation),
-        )
+        return SE3(self.translation + self.R @ other.translation, self.R @ other.R)
 
     def __matmul__(self, other: "SE3") -> "SE3":
         return self.compose(other)
 
     def inverse(self) -> "SE3":
-        qi = quat_conjugate(self.rotation)
-        return SE3(-quat_rotate(qi, self.translation), qi)
+        Rt = self.R.T
+        return SE3(-(Rt @ self.translation), Rt)
 
     def transform_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return quat_rotate(self.rotation, p) + self.translation
+        """p may be one point (3,) or N points (N, 3)."""
+        return np.asarray(p, dtype=float) @ self.R.T + self.translation
 
     def rotate_vector(self, v) -> np.ndarray:
-        return quat_rotate(self.rotation, v)
+        """v may be one vector (3,) or N vectors (N, 3)."""
+        return np.asarray(v, dtype=float) @ self.R.T
 
     def __repr__(self):
-        t = self.translation
-        q = self.rotation
+        t, r = self.translation, rotation_vector(self.R)
         return (f"SE3(t=[{t[0]:.6g}, {t[1]:.6g}, {t[2]:.6g}], "
-                f"q=[{q[0]:.6g}, {q[1]:.6g}, {q[2]:.6g}, {q[3]:.6g}])")
+                f"rotvec=[{r[0]:.6g}, {r[1]:.6g}, {r[2]:.6g}])")
 
 
 def pose_error(target: SE3, actual: SE3) -> tuple[np.ndarray, np.ndarray]:
     """(position error, orientation error as world-frame rotation vector) taking actual to target."""
-    dp = target.translation - actual.translation
-    dq = quat_multiply(target.rotation, quat_conjugate(actual.rotation))
-    return dp, quat_rotation_vector(dq)
+    return target.translation - actual.translation, rotation_vector(target.R @ actual.R.T)

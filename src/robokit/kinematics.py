@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IkConvergenceError
-from .geometry import SE3, quat_from_zyx
+from .geometry import SE3, rotation_vector, skew, zyx_matrix
 
 # orientation weight balancing rad against m in the DLS error vector
 _ORI_WEIGHT = 0.5
@@ -79,16 +79,14 @@ class KinematicChain:
         """Per joint: origin rotation and translation, axis, its skew matrix K and K @ K."""
         links = []
         for j in self.joints:
-            m = j.origin.matrix()
             a = np.asarray(j.axis, dtype=float)
-            k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-            links.append((m[:3, :3], m[:3, 3], a, k, k @ k))
+            k = skew(a)
+            links.append((j.origin.R, j.origin.translation, a, k, k @ k))
         return tuple(links)
 
     @cached_property
     def _tool_rt(self) -> tuple:
-        m = self.tool.matrix()
-        return m[:3, :3], m[:3, 3]
+        return self.tool.R, self.tool.translation
 
     def clamp(self, q) -> np.ndarray:
         return np.clip(np.asarray(q, dtype=float), self.lower_limits, self.upper_limits)
@@ -144,33 +142,11 @@ def _linear_rows(axes: np.ndarray, origins: np.ndarray, t_ee: np.ndarray) -> np.
     return np.cross(axes, t_ee[None, :] - origins).T
 
 
-def _rotation_vector_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Axis*angle of a rotation matrix; angle in [0, pi]."""
-    tr = min(3.0, max(-1.0, R[0, 0] + R[1, 1] + R[2, 2]))
-    angle = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-    if angle < 1e-9:
-        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle > math.pi - 1e-6:
-        # near pi: extract axis from the symmetric part
-        d = np.diagonal(R)
-        k = int(np.argmax(d))
-        axis = np.sqrt(np.maximum(0.0, (d - (tr - 1.0) / 2.0) / (2.0 - (tr - 1.0))))
-        axis = np.array([math.copysign(axis[0], R[2, 1] - R[1, 2]),
-                         math.copysign(axis[1], R[0, 2] - R[2, 0]),
-                         math.copysign(axis[2], R[1, 0] - R[0, 1])])
-        if axis[k] == 0.0:
-            axis[k] = 1.0
-        n = np.linalg.norm(axis)
-        return angle * axis / n
-    s = 2.0 * math.sin(angle)
-    return (angle / s) * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-
-
 def forward_kinematics(chain: KinematicChain, q) -> SE3:
     """Pose of the tool frame in the chain base frame."""
     q = chain.check_dimension(q)
     _, _, R, t = _frames_fast(chain, q)
-    return SE3.from_matrix(np.block([[R, t[:, None]], [np.zeros((1, 3)), np.ones((1, 1))]]))
+    return SE3(t, R)
 
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
@@ -195,7 +171,7 @@ class _Solve:
         self.position_only = position_only
         self.lo, self.hi = chain.lower_limits, chain.upper_limits
         self.mid = 0.5 * (self.lo + self.hi)
-        self.Rt = None if position_only else target.matrix()[:3, :3]
+        self.Rt = None if position_only else target.R
         self.pt = np.asarray(target.translation, dtype=float)
         self.lam2 = params.damping ** 2
         self.best = (math.inf, math.inf)
@@ -207,7 +183,7 @@ class _Solve:
         ep = math.sqrt(dp @ dp)
         if self.position_only:
             return axes, origins, t_ee, dp, ep, None, 0.0
-        dori = _rotation_vector_from_matrix(self.Rt @ R_ee.T)
+        dori = rotation_vector(self.Rt @ R_ee.T)
         return axes, origins, t_ee, dp, ep, dori, math.sqrt(dori @ dori)
 
     def converged(self, ep, eo):
@@ -335,5 +311,4 @@ def pose_from_pitch_roll(position, pitch: float, roll: float) -> SE3:
     joint spins about the base z axis: the wrist can realize any pitch/roll in
     the vertical plane through the target, but yaw is fixed by geometry.
     """
-    yaw = bearing_yaw(position)
-    return SE3(np.asarray(position, dtype=float), quat_from_zyx(yaw, pitch, roll))
+    return SE3(position, zyx_matrix(bearing_yaw(position), pitch, roll))

@@ -17,7 +17,7 @@ import numpy as np
 from .config import SUBSYSTEMS, RobotConfig
 from .control import CONTROLLERS, DEFAULT_CONTROLLER, tracking_law, within_tolerance
 from .errors import CapabilityError, IkConvergenceError
-from .geometry import SE3, Pose2D, zyx_from_quat
+from .geometry import SE3, Pose2D, zyx_from_matrix
 from .kinematics import inverse_kinematics, pose_from_pitch_roll
 from .trajectory import ControlCommand, TimedTrajectory
 
@@ -204,7 +204,7 @@ class ArmInterface:
             return MotionResult(reached=True, elapsed=0.0, joints=self.joint_positions,
                                 ee_pose=start_pose, path=path)
         n = max(1, int(math.ceil(dist / step)))
-        yaw, pitch, roll = zyx_from_quat(start_pose.rotation)
+        _, pitch, roll = zyx_from_matrix(start_pose.R)
         seed = self._sim.q.copy()
         pitch_roll_mode = self._chain.dof < 6
         for i in range(1, n + 1):
@@ -212,7 +212,7 @@ class ArmInterface:
             if pitch_roll_mode:
                 target = pose_from_pitch_roll(waypoint, pitch, roll)
             else:
-                target = SE3(waypoint, start_pose.rotation)
+                target = SE3(waypoint, start_pose.R)
             try:
                 q = inverse_kinematics(self._chain, target, seed, self._ik)
             except IkConvergenceError as exc:

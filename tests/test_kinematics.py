@@ -5,7 +5,7 @@ import pytest
 
 from robokit.config import load_config
 from robokit.errors import IkConvergenceError
-from robokit.geometry import SE3, pose_error, quat_from_axis_angle
+from robokit.geometry import SE3, axis_rotation, pose_error
 from robokit.kinematics import (IkParams, Joint, KinematicChain, forward_kinematics,
                                 inverse_kinematics, jacobian, pose_from_pitch_roll)
 
@@ -24,8 +24,9 @@ def random_chain(rng, dof=None):
     for i in range(dof):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        origin = SE3(rng.uniform(-0.2, 0.2, 3),
-                     quat_from_axis_angle(rng.normal(size=3) + 1e-2, rng.uniform(-1, 1)))
+        offset = rng.uniform(-0.2, 0.2, 3)
+        tilt = rng.normal(size=3) + 1e-2
+        origin = SE3(offset, axis_rotation(tilt / np.linalg.norm(tilt), rng.uniform(-1, 1)))
         joints.append(Joint(f"j{i}", origin, tuple(axis), -2.5, 2.5))
     return KinematicChain(tuple(joints), SE3(rng.uniform(-0.1, 0.1, 3)))
 
@@ -55,7 +56,7 @@ def test_fk_planar_elbow():
     ee = forward_kinematics(chain, [math.pi / 2, -math.pi / 2])
     np.testing.assert_allclose(ee.translation, [1.0, 1.0, 0.0], atol=1e-12)
     # heading back to zero: rotation is identity
-    assert abs(abs(ee.rotation[0]) - 1.0) < 1e-12
+    np.testing.assert_allclose(ee.R, np.eye(3), atol=1e-12)
 
 
 def test_fk_revolute_periodicity():
@@ -75,7 +76,7 @@ def test_fk_determinism():
     a = forward_kinematics(chain, q)
     b = forward_kinematics(chain, q)
     assert np.array_equal(a.translation, b.translation)
-    assert np.array_equal(a.rotation, b.rotation)
+    assert np.array_equal(a.R, b.R)
 
 
 def test_fk_dimension_mismatch():

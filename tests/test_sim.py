@@ -14,6 +14,8 @@ from robokit.sim import (ArmNoiseModel, ArmSim, BaseNoiseModel, CameraIntrinsics
 from robokit.trajectory import ControlCommand, VelocityLimits
 
 LIMITS = VelocityLimits(v_max=5.0, omega_max=5.0, a_max=1e6, alpha_max=1e6)
+# optical frame (x right, y down, z forward) in a camera body frame (x forward, z up)
+OPTICAL = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 
 def test_step_base_straight_line():
@@ -160,8 +162,7 @@ def test_arm_determinism():
 
 def test_render_empty_scene_floor_only():
     intr = CameraIntrinsics(600, 600, 320, 240)
-    cam = SE3.from_xyz_rpy([0, 0, 0.6], [0, 0, 0]) @ SE3(
-        rotation=[0.5, -0.5, 0.5, -0.5])  # optical frame looking forward
+    cam = SE3.from_xyz_rpy([0, 0, 0.6], [0, 0, 0]) @ SE3(R=OPTICAL)  # looking forward
     # tilt down so the floor is visible
     from robokit.backends import CameraSim
     from robokit.config import CameraSettings
@@ -194,7 +195,7 @@ def test_render_cube_z_bounds():
 def test_render_determinism():
     cube = SceneObject("box", SE3((0.5, 0.0, 0.03)), (0.06, 0.06, 0.06))
     intr = CameraIntrinsics(600, 600, 320, 240)
-    cam = SE3.from_xyz_rpy([0, 0, 0.6], [0, 0.7, 0]) @ SE3(rotation=[0.5, -0.5, 0.5, -0.5])
+    cam = SE3.from_xyz_rpy([0, 0, 0.6], [0, 0.7, 0]) @ SE3(R=OPTICAL)
     a, ta = render_point_cloud(Scene(objects=[cube]), cam, intr,
                                rng=np.random.default_rng(9), depth_sigma=0.002)
     b, tb = render_point_cloud(Scene(objects=[cube]), cam, intr,

@@ -6,7 +6,7 @@ import pytest
 from robokit.backends import SimBackend
 from robokit.config import load_config
 from robokit.errors import NoClustersError
-from robokit.geometry import SE3, quat_from_axis_angle
+from robokit.geometry import SE3, axis_rotation
 from robokit.robot import make_robot
 from robokit.sim import CameraIntrinsics, Scene, SceneObject
 from robokit.skills import (DbscanParams, ImageGrasp, NOISE, backproject_grasp,
@@ -64,7 +64,7 @@ def test_backproject_grasp_depth_validation():
 
 
 def test_backproject_grasp_carries_camera_yaw():
-    cam = SE3(rotation=quat_from_axis_angle([0, 0, 1], 0.7))
+    cam = SE3(R=axis_rotation((0, 0, 1), 0.7))
     _, roll = backproject_grasp(ImageGrasp(320, 240, 0.1, 0.5), INTR, cam)
     assert roll == pytest.approx(0.8, abs=1e-9)
 
