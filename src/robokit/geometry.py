@@ -30,16 +30,20 @@ def angle_diff(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class Pose2D:
-    """Planar pose [x, y, theta] in meters/radians; theta normalized to (-pi, pi]."""
+    """Planar pose [x, y, theta] in meters/radians; theta normalized to (-pi, pi].
+    A NaN or infinite field raises ValueError."""
 
     x: float = 0.0
     y: float = 0.0
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+        x, y, theta = float(self.x), float(self.y), float(self.theta)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+            raise ValueError(f"Pose2D fields must be finite, got ({x}, {y}, {theta})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta", wrap_angle(theta))
 
     def compose(self, rel: "Pose2D") -> "Pose2D":
         """SE(2) composition: `rel` expressed in this pose's frame, returned in the world frame."""

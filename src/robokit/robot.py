@@ -40,10 +40,10 @@ class MotionResult:
 
 
 def _check_finite(**values) -> None:
-    """Fail fast on NaN or infinite input, naming the argument."""
+    """Fail fast on NaN or infinite array input, naming the argument. (A Pose2D is
+    finite by construction.)"""
     for name, value in values.items():
-        array = value.as_array() if isinstance(value, Pose2D) else value
-        if not np.all(np.isfinite(np.asarray(array, dtype=float))):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -103,8 +103,9 @@ class BaseInterface:
     def go_to_absolute(self, target, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:
         """Drive to an odometric-frame target pose; blocks until tolerance or timeout."""
-        _check_finite(target=target)
-        target = target if isinstance(target, Pose2D) else Pose2D.from_array(target)
+        if not isinstance(target, Pose2D):
+            _check_finite(target=target)
+            target = Pose2D.from_array(target)
         params = self._config.controller_params(controller)
         s = self._settings
         # DWA carries its own tolerances; the other controllers use the base's
@@ -124,8 +125,9 @@ class BaseInterface:
     def go_to_relative(self, rel, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:
         """Target expressed in the current odometric frame, composed under SE(2)."""
-        _check_finite(rel=rel)
-        rel = rel if isinstance(rel, Pose2D) else Pose2D.from_array(rel)
+        if not isinstance(rel, Pose2D):
+            _check_finite(rel=rel)
+            rel = Pose2D.from_array(rel)
         return self.go_to_absolute(self.odom_pose.compose(rel), controller, grid)
 
     def track_trajectory(self, traj: TimedTrajectory,

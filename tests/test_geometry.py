@@ -35,6 +35,13 @@ def test_pose2d_normalizes_theta():
     assert p.theta == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "theta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_pose2d_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="Pose2D fields must be finite"):
+        Pose2D(**{field: value})
+
+
 def test_se2_compose_identity():
     p = Pose2D(1.0, 2.0, 0.7)
     q = p.compose(Pose2D())
@@ -151,7 +158,7 @@ def quat_matrix(q):
     ((-0.1, 1.0, 0.3), math.pi - 5e-7, "y"),
     ((0.2, 0.1, 1.0), -(math.pi - 1e-6), "z"),
     ((0.0, 0.0, 1.0), math.pi, "z"),
-])
+], ids=["trace", "x-near-pi", "y-near-pi", "z-near-pi", "z-half-turn"])
 def test_se3_rotation_is_the_unit_quaternion_of_r(axis, angle, branch):
     axis = np.array(axis) / np.linalg.norm(axis)
     R = axis_rotation(axis, angle)
