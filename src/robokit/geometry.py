@@ -131,7 +131,8 @@ def rotation_vector(R: np.ndarray) -> np.ndarray:
 
 
 def quat_from_matrix(m) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix."""
+    """Unit quaternion (w, x, y, z) of a rotation matrix. Only SE3.rotation calls it;
+    robokit itself works in matrices."""
     m = np.asarray(m, dtype=float)
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     if tr > 0:

@@ -231,7 +231,8 @@ def test_sawyer_cartesian_move_holds_orientation():
     assert np.linalg.norm(dori) < 1e-5
 
 
-@pytest.mark.xfail(reason="known fault: move_ee_xyz reads pitch and roll back with "
+@pytest.mark.xfail(strict=True,
+                   reason="known fault: move_ee_xyz reads pitch and roll back with "
                           "zyx_from_matrix, which at pitch pi/2 (gimbal lock) folds roll into "
                           "yaw, so a top-down descent ends at roll 0, 1.000 rad off")
 def test_top_down_descent_keeps_roll(locobot_cfg):
