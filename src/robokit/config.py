@@ -34,7 +34,8 @@ SUBSYSTEMS = ("arm", "base", "camera", "gripper")
 
 # fields held in radians; their YAML key is the field name plus "_deg"
 _DEGREES = {"bearing_threshold", "heading_threshold", "heading_tolerance"}
-# fields that must be strictly positive, in whichever section they appear
+# fields that must be strictly positive, in whichever section they appear; a
+# vector field (the LQR control weights `r`) entry by entry
 _POSITIVE = {
     "v_max", "omega_max", "a_max", "alpha_max", "dt", "position_tolerance",
     "heading_tolerance", "timeout", "kp_lin", "kp_ang", "bearing_threshold",
@@ -42,8 +43,10 @@ _POSITIVE = {
     "horizon", "fx", "fy", "width", "height", "max_range", "density", "dbscan_eps",
     "dbscan_min_pts", "pregrasp_height", "grasp_height", "pre_push_height", "push_height",
     "tracking_speed", "orientation_tolerance", "max_iterations", "damping", "step_clamp",
-    "floor_radius",
+    "floor_radius", "r",
 }
+# vector fields whose entries must be >= 0: the LQR state weights
+_NON_NEGATIVE = {"q"}
 # fields a config must give although their dataclass has a default
 _REQUIRED = {"v_max", "omega_max"}
 _CHOICES = {"trajectory": ("sharp", "smooth")}
@@ -146,7 +149,8 @@ def _mapping(section, path: str, known=None) -> dict:
     return section
 
 
-def _number(value, path: str, integer: bool = False, positive: bool = False):
+def _number(value, path: str, integer: bool = False, positive: bool = False,
+            non_negative: bool = False):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if not math.isfinite(value):
@@ -156,15 +160,17 @@ def _number(value, path: str, integer: bool = False, positive: bool = False):
     v = int(value) if integer else float(value)
     if positive and v <= 0:
         raise ConfigError(path, f"must be strictly positive, got {v}")
-    if integer and v < 0:   # every integer field is a count
+    if (integer or non_negative) and v < 0:   # every integer field is a count
         raise ConfigError(path, f"must be >= 0, got {v}")
     return v
 
 
-def _vector(value, n: int, path: str) -> list[float]:
+def _vector(value, n: int, path: str, positive: bool = False,
+            non_negative: bool = False) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(path, f"expected a {n}-vector")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return [_number(x, f"{path}[{i}]", positive=positive, non_negative=non_negative)
+            for i, x in enumerate(value)]
 
 
 def _transform(section, path: str, known=("xyz", "rpy")) -> SE3:
@@ -188,7 +194,8 @@ def _value(value, like, path: str, name: str):
             raise ConfigError(path, f"expected a list of {len(like[0])}-vectors")
         return tuple(tuple(_vector(v, len(like[0]), f"{path}[{i}]")) for i, v in enumerate(value))
     if isinstance(like, tuple):
-        return tuple(_vector(value, len(like), path))
+        return tuple(_vector(value, len(like), path, positive=name in _POSITIVE,
+                             non_negative=name in _NON_NEGATIVE))
     v = _number(value, path, integer=isinstance(like, int), positive=name in _POSITIVE)
     return math.radians(v) if name in _DEGREES else v
 

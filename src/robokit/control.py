@@ -111,23 +111,9 @@ def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
     return K
 
 
-@dataclass(frozen=True)
-class GainSchedule:
-    """Per-step 2x3 feedback gains along a trajectory (u = u_ref - K e convention)."""
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gains)
-        if g.ndim != 3 or g.shape[1:] != (2, 3):
-            raise ValueError("gains must have shape (N, 2, 3)")
-
-    def __len__(self):
-        return len(self.gains)
-
-
-def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> GainSchedule:
-    """Linearize along the reference and run the Riccati recursion; one gain per control."""
+def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> np.ndarray:
+    """Linearize along the reference and run the Riccati recursion; one 2x3 gain per
+    control (u = u_ref - K e convention)."""
     if len(traj.states) < 2:
         raise ControlError("LQR needs a trajectory with at least 2 states")
     A_seq, B_seq = [], []
@@ -135,7 +121,7 @@ def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> GainSchedu
         A, B = linearize_dynamics(traj.state(k), traj.control(k), traj.dt)
         A_seq.append(A)
         B_seq.append(B)
-    return GainSchedule(riccati_gains(A_seq, B_seq, weights.Q, weights.R, weights.Qf))
+    return riccati_gains(A_seq, B_seq, weights.Q, weights.R, weights.Qf)
 
 
 @dataclass(frozen=True)
@@ -156,13 +142,13 @@ def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:
     return np.array([state.x - ref.x, state.y - ref.y, angle_diff(state.theta, ref.theta)])
 
 
-def lqr_track_step(state: Pose2D, t: int, traj: TimedTrajectory, gains: GainSchedule,
+def lqr_track_step(state: Pose2D, t: int, traj: TimedTrajectory, gains: np.ndarray,
                    limits: VelocityLimits) -> ControlCommand:
     """u = u_ref(t) - K_t * wrap(state - ref(t)), clamped to velocity limits."""
     if not 0 <= t < traj.horizon:
         raise IndexError(f"step {t} outside horizon {traj.horizon}")
     e = tracking_error(state, traj.state(t))
-    u = traj.controls[t] - gains.gains[t] @ e
+    u = traj.controls[t] - gains[t] @ e
     return ControlCommand(u[0], u[1]).clamped(limits.v_max, limits.omega_max)
 
 
@@ -189,35 +175,29 @@ def proportional_step(state: Pose2D, goal: Pose2D, phase: str,
     within one call so a phase entered with zero error emits the next phase's
     command immediately.
     """
-    while True:
-        dist = math.hypot(goal.x - state.x, goal.y - state.y)
-        if phase == ALIGN:
-            if dist <= params.distance_threshold:
-                phase = FINAL_ROTATE
-                continue
-            bearing = math.atan2(goal.y - state.y, goal.x - state.x)
-            err = angle_diff(bearing, state.theta)
-            if abs(err) <= params.bearing_threshold:
-                phase = DRIVE
-                continue
+    dist = math.hypot(goal.x - state.x, goal.y - state.y)
+    err = angle_diff(math.atan2(goal.y - state.y, goal.x - state.x), state.theta)
+    if phase == ALIGN:
+        if dist <= params.distance_threshold:
+            phase = FINAL_ROTATE
+        elif abs(err) <= params.bearing_threshold:
+            phase = DRIVE
+        else:
             return (ControlCommand(0.0, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
-        if phase == DRIVE:
-            bearing = math.atan2(goal.y - state.y, goal.x - state.x)
-            along = dist * math.cos(angle_diff(bearing, state.theta))
-            if dist <= params.distance_threshold or along <= 0.0:
-                phase = FINAL_ROTATE
-                continue
-            err = angle_diff(bearing, state.theta)
+    if phase == DRIVE:
+        along = dist * math.cos(err)
+        if dist <= params.distance_threshold or along <= 0.0:
+            phase = FINAL_ROTATE
+        else:
             return (ControlCommand(params.kp_lin * along, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
-        if phase == FINAL_ROTATE:
-            err = angle_diff(goal.theta, state.theta)
-            if abs(err) <= params.heading_threshold:
-                return ControlCommand(0.0, 0.0), DONE
+    if phase == FINAL_ROTATE:
+        err = angle_diff(goal.theta, state.theta)
+        if abs(err) > params.heading_threshold:
             return (ControlCommand(0.0, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
-        return ControlCommand(0.0, 0.0), DONE
+    return ControlCommand(0.0, 0.0), DONE
 
 
 # --- dynamic window approach --------------------------------------------------
@@ -240,12 +220,6 @@ class DwaParams:
     heading_tolerance: float = math.radians(1.5)
 
 
-@dataclass(frozen=True)
-class DwaDecision:
-    command: ControlCommand
-    blocked: bool = False
-
-
 def dwa_window(current: ControlCommand, limits: VelocityLimits, dt: float,
                params: DwaParams) -> tuple[np.ndarray, np.ndarray]:
     """Velocity samples reachable within one control period; forward-only v."""
@@ -259,9 +233,10 @@ def dwa_window(current: ControlCommand, limits: VelocityLimits, dt: float,
     return vv.ravel(), ww.ravel()
 
 
-def _rollout_endpoints(state: Pose2D, v: np.ndarray, w: np.ndarray,
-                       horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form endpoint of holding (v, w) constant for `horizon` seconds."""
+def _rollout_endpoints(state: Pose2D, v: np.ndarray, w: np.ndarray, horizon: float | np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form endpoint of holding (v, w) constant for `horizon` seconds; an
+    (n, 1) column of horizons gives one row of endpoints per horizon."""
     th0 = state.theta
     th1 = th0 + w * horizon
     small = np.abs(w) < 1e-9
@@ -300,9 +275,8 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
     if grid is not None:
         n_sub = max(2, int(math.ceil(params.horizon / 0.1)))
         ts = np.linspace(0.0, params.horizon, n_sub + 1)[1:]
-        rollouts = [_rollout_endpoints(state, v, w, t) for t in ts]
-        c = grid.clearance_at(np.stack([r[0] for r in rollouts]),   # one row per sub-step
-                              np.stack([r[1] for r in rollouts]))
+        px, py, _ = _rollout_endpoints(state, v, w, ts[:, None])   # one row per sub-step
+        c = grid.clearance_at(px, py)
         collided = np.any(c <= 0.0, axis=0)
         clearance = c.min(axis=0)
         clear_term = np.clip(clearance / CLEARANCE_CAP, 0.0, 1.0)
@@ -313,25 +287,16 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
 
 def dwa_step(state: Pose2D, current_vel: ControlCommand, goal: Pose2D,
              grid, params: DwaParams, limits: VelocityLimits,
-             dt: float) -> DwaDecision:
-    """Pick the best-scoring sample; ties break to lowest |omega|, then lowest v.
-
-    All samples colliding yields a Stop command with blocked=True.
+             dt: float) -> ControlCommand | None:
+    """Pick the best-scoring sample; ties break to lowest |omega|, then lowest v,
+    then the first in window order. None when every sample collides.
     """
     v, w = dwa_window(current_vel, limits, dt, params)
     score = dwa_scores(state, goal, v, w, limits, params, grid)
     if not np.any(np.isfinite(score)):
-        return DwaDecision(ControlCommand(0.0, 0.0), blocked=True)
-    best = None
-    best_key = None
-    for i in range(len(score)):
-        if not math.isfinite(score[i]):
-            continue
-        key = (-score[i], abs(w[i]), v[i])
-        if best_key is None or key < best_key:
-            best_key = key
-            best = i
-    return DwaDecision(ControlCommand(float(v[best]), float(w[best])))
+        return None
+    best = np.lexsort((v, np.abs(w), -score))[0]
+    return ControlCommand(float(v[best]), float(w[best]))
 
 
 # --- control laws and the controller registry ---------------------------------
@@ -370,7 +335,7 @@ def lqr_law(start, goal, params, limits, dt, tol, grid) -> Law:
            else generate_sharp_trajectory)
     traj = gen(start, goal, limits, dt)
     gains = lqr_backward_pass(traj, params.weights()) if traj.horizon > 0 else None
-    k_final = _K_HOLD if gains is None else gains.gains[-1]
+    k_final = _K_HOLD if gains is None else gains[-1]
 
     def law(k, pose, current):
         if k < traj.horizon:
@@ -390,8 +355,8 @@ def dwa_law(start, goal, params, limits, dt, tol, grid) -> Law:
         nonlocal rotating
         rotating = rotating or planar_distance(pose, goal) <= tol[0]
         if not rotating:
-            decision = dwa_step(pose, current, goal, grid, params, limits, dt)
-            return "all DWA samples blocked" if decision.blocked else decision.command
+            cmd = dwa_step(pose, current, goal, grid, params, limits, dt)
+            return "all DWA samples blocked" if cmd is None else cmd
         err = angle_diff(goal.theta, pose.theta)
         if abs(err) <= tol[1]:
             return ""

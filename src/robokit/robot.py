@@ -117,10 +117,15 @@ class BaseInterface:
         commands, _, stop = self._drive(law, s.timeout)
         self._settle(commands)
         reached = not stop and within_tolerance(self.odom_pose, target, tol)
+        if reached:
+            detail = ""
+        elif stop is None:
+            detail = "timeout"
+        else:   # the law's failure, or a pose that left tolerance while settling
+            detail = stop or "settled out of tolerance"
         return MotionResult(reached=reached, elapsed=self._sim.time - t0,
                             pose=self.odom_pose, true_pose=self.true_pose,
-                            commands=commands,
-                            detail=stop or ("" if reached else "timeout"))
+                            commands=commands, detail=detail)
 
     def go_to_relative(self, rel, controller: str = DEFAULT_CONTROLLER,
                        grid=None) -> MotionResult:

@@ -96,10 +96,6 @@ class TimedTrajectory:
     def horizon(self) -> int:
         return len(self.controls)
 
-    @property
-    def duration(self) -> float:
-        return self.horizon * self.dt
-
     def state(self, k: int) -> Pose2D:
         return Pose2D.from_array(self.states[k])
 

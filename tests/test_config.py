@@ -105,6 +105,15 @@ def test_unknown_controller_param_rejected():
         parse_config(raw)
 
 
+def test_lqr_zero_state_weight_accepted():
+    # q only needs to be >= 0 (Q positive semidefinite); r > 0 is checked per entry
+    raw = locobot_raw()
+    raw["controllers"]["lqr"]["q"] = [0, 5.0, 0]
+    cfg = parse_config(raw)
+    assert cfg.controllers["lqr"].q == (0.0, 5.0, 0.0)
+    cfg.controllers["lqr"].weights()   # CostWeights accepts what the config accepts
+
+
 def test_controller_defaults_applied():
     raw = locobot_raw()
     del raw["controllers"]
@@ -184,6 +193,10 @@ def test_pre_push_below_push_rejected():
     ("arm.ik.restarts", -1),
     ("name", None),
     ("arm.joints[0].name", None),
+    ("controllers.lqr.r[0]", 0),
+    ("controllers.lqr.r[1]", -0.5),
+    ("controllers.lqr.q[0]", -1),
+    ("controllers.lqr.q[2]", -1e-9),
 ])
 def test_malformed_value_names_exact_key(path, value):
     raw = locobot_raw()
@@ -191,7 +204,7 @@ def test_malformed_value_names_exact_key(path, value):
     node = raw
     for s in sections:
         node = node[int(s) if isinstance(node, list) else s]
-    node[key] = value
+    node[int(key) if isinstance(node, list) else key] = value
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     assert exc.value.key == path

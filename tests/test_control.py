@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, CostWeights,
-                             DwaParams, ProportionalParams, dwa_step, euler_step,
-                             linearize_dynamics, lqr_backward_pass, lqr_track_step,
+                             DwaParams, ProportionalParams, dwa_scores, dwa_step, dwa_window,
+                             euler_step, linearize_dynamics, lqr_backward_pass, lqr_track_step,
                              proportional_step, riccati_gains, tracking_error)
 from robokit.geometry import Pose2D
 from robokit.sim import DiffDriveSim
@@ -95,7 +95,7 @@ def test_riccati_zero_cost_zero_gain():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0, 0), LIMITS, DT)
     weights = CostWeights(Q=np.zeros((3, 3)), R=np.eye(2), Qf=np.zeros((3, 3)))
     gains = lqr_backward_pass(traj, weights)
-    assert np.max(np.abs(gains.gains)) == 0.0
+    assert np.max(np.abs(gains)) == 0.0
 
 
 def test_riccati_uniform_scaling_invariance():
@@ -103,8 +103,8 @@ def test_riccati_uniform_scaling_invariance():
     w1 = CostWeights.from_diagonals([5, 5, 1], [1, 0.5])
     c = 3.7
     w2 = CostWeights(Q=c * w1.Q, R=c * w1.R, Qf=c * w1.Qf)
-    g1 = lqr_backward_pass(traj, w1).gains
-    g2 = lqr_backward_pass(traj, w2).gains
+    g1 = lqr_backward_pass(traj, w1)
+    g2 = lqr_backward_pass(traj, w2)
     assert np.max(np.abs(g1 - g2)) < 1e-10
 
 
@@ -221,11 +221,10 @@ DWA = DwaParams()
 
 
 def test_dwa_goal_ahead_symmetric_tiebreak():
-    decision = dwa_step(Pose2D(), ControlCommand(0.1, 0.0), Pose2D(3, 0, 0), None, DWA,
-                        LIMITS, DT)
-    assert decision.command.omega == 0.0
-    assert decision.command.v > 0.0
-    assert not decision.blocked
+    cmd = dwa_step(Pose2D(), ControlCommand(0.1, 0.0), Pose2D(3, 0, 0), None, DWA, LIMITS, DT)
+    assert cmd is not None
+    assert cmd.omega == 0.0
+    assert cmd.v > 0.0
 
 
 def independent_dwa_oracle(state, current, goal, grid, params, limits, dt):
@@ -289,10 +288,10 @@ def test_dwa_matches_independent_rescoring():
         state = Pose2D(*rng.uniform(-1, 1, 2), rng.uniform(-3, 3))
         current = ControlCommand(rng.uniform(0, 0.3), rng.uniform(-1, 1))
         goal = Pose2D(*rng.uniform(-2, 2, 2), 0)
-        decision = dwa_step(state, current, goal, None, DWA, LIMITS, DT)
+        cmd = dwa_step(state, current, goal, None, DWA, LIMITS, DT)
         oracle = independent_dwa_oracle(state, current, goal, None, DWA, LIMITS, DT)
-        assert decision.command.v == oracle[0]
-        assert decision.command.omega == oracle[1]
+        assert cmd.v == oracle[0]
+        assert cmd.omega == oracle[1]
 
 
 def test_dwa_avoids_wall_or_stops():
@@ -301,11 +300,10 @@ def test_dwa_avoids_wall_or_stops():
     grid = OccupancyGrid.empty(30, 30, 0.1, Pose2D(-1.5, -1.5, 0))
     grid.set_box(0.2, -1.5, 0.5, 1.5, 1)  # wall ahead
     state = Pose2D(0, 0, 0)
-    decision = dwa_step(state, ControlCommand(0.3, 0.0), Pose2D(1.2, 0, 0), grid, DWA,
-                        LIMITS, DT)
-    if not decision.blocked:
+    cmd = dwa_step(state, ControlCommand(0.3, 0.0), Pose2D(1.2, 0, 0), grid, DWA, LIMITS, DT)
+    if cmd is not None:
         # chosen rollout must stay collision-free
-        v, w = decision.command.v, decision.command.omega
+        v, w = cmd.v, cmd.omega
         for k in range(1, 16):
             t = DWA.horizon * k / 15
             th = state.theta + w * t
@@ -319,10 +317,10 @@ def test_dwa_avoids_wall_or_stops():
     oracle = independent_dwa_oracle(state, ControlCommand(0.3, 0.0), Pose2D(1.2, 0, 0),
                                     grid, DWA, LIMITS, DT)
     if oracle is None:
-        assert decision.blocked
+        assert cmd is None
     else:
-        assert decision.command.v == oracle[0]
-        assert decision.command.omega == oracle[1]
+        assert cmd.v == oracle[0]
+        assert cmd.omega == oracle[1]
 
 
 def test_dwa_fully_blocked_returns_stop():
@@ -330,10 +328,22 @@ def test_dwa_fully_blocked_returns_stop():
 
     grid = OccupancyGrid.empty(10, 10, 0.1, Pose2D(-0.5, -0.5, 0))
     grid.cells[:, :] = 1
-    decision = dwa_step(Pose2D(), ControlCommand(0.2, 0.0), Pose2D(0.4, 0, 0), grid, DWA,
-                        LIMITS, DT)
-    assert decision.blocked
-    assert decision.command.v == 0.0 and decision.command.omega == 0.0
+    assert dwa_step(Pose2D(), ControlCommand(0.2, 0.0), Pose2D(0.4, 0, 0), grid, DWA,
+                    LIMITS, DT) is None
+
+
+def test_dwa_complete_tie_goes_to_first_sample():
+    # from rest with the goal straight behind, turning left and right score the same
+    # bytes at the same v and |omega|; the first in window order (omega < 0) wins
+    state, current, goal = Pose2D(), ControlCommand(0.0, 0.0), Pose2D(-1, 0, 0)
+    v, w = dwa_window(current, LIMITS, DT, DWA)
+    score = dwa_scores(state, goal, v, w, LIMITS, DWA)
+    assert list(np.flatnonzero(score == score.max())) == [210, 230]
+    assert (v[210], w[210]) == (0.025, -0.1) and (v[230], w[230]) == (0.025, 0.1)
+    cmd = dwa_step(state, current, goal, None, DWA, LIMITS, DT)
+    assert (cmd.v, cmd.omega) == (0.025, -0.1)
+    assert (cmd.v, cmd.omega) == independent_dwa_oracle(state, current, goal, None, DWA,
+                                                        LIMITS, DT)
 
 
 def test_rate_limiter():

@@ -112,6 +112,21 @@ def test_timeout_reported_not_raised(locobot_cfg):
         assert res.detail == "timeout", controller
 
 
+def test_settle_drift_not_reported_as_timeout(locobot_cfg):
+    # noisy LQR trial that meets tolerance, then drifts out of it while the settle
+    # ramp brings the base to rest: today it ends 5.13 mm off after 7.5 s of a 60 s
+    # timeout, and that is not a timeout
+    from robokit.benchmark import trial_seed
+
+    target = Pose2D(2.0, 0.0, 0.0)
+    bot = fresh_robot(locobot_cfg, seed=trial_seed(1, 0, 0, 0, 0), zero_noise=False)
+    res = bot.base.go_to_absolute(target, "lqr")
+    assert res.elapsed < locobot_cfg.base.timeout
+    assert res.detail == ("" if res.reached else "settled out of tolerance")
+    if not res.reached:
+        assert planar_distance(res.pose, target) > locobot_cfg.base.position_tolerance
+
+
 def test_dwa_blocked_reported_through_facade(locobot_cfg):
     from robokit.planning import OccupancyGrid
 
