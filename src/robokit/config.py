@@ -45,8 +45,9 @@ _POSITIVE = {
     "tracking_speed", "orientation_tolerance", "max_iterations", "damping", "step_clamp",
     "floor_radius", "r",
 }
-# vector fields whose entries must be >= 0: the LQR state weights
-_NON_NEGATIVE = {"q"}
+# vector fields whose entries must be >= 0: the LQR state weights and the arm's
+# settling noise
+_NON_NEGATIVE = {"q", "sigma"}
 # fields a config must give although their dataclass has a default
 _REQUIRED = {"v_max", "omega_max"}
 _CHOICES = {"trajectory": ("sharp", "smooth")}

@@ -1,4 +1,8 @@
-"""Serial-chain kinematics: forward kinematics, geometric Jacobian, damped-least-squares IK.
+"""Serial-chain kinematics: forward kinematics, geometric Jacobian, inverse kinematics.
+
+IK is closed form for the z-y-y-y-x layout (a waist, three parallel pitch
+joints and a roll joint, as on the LoCoBot arm), damped least squares (DLS)
+otherwise.
 
 Chains are revolute-only. Joint i applies `fixed_i · Rot(axis_i, q_i)`; the
 end-effector adds one more fixed transform, so
@@ -18,10 +22,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IkConvergenceError
-from .geometry import SE3, rotation_vector, skew, zyx_matrix
+from .geometry import SE3, TWO_PI, rotation_vector, skew, zyx_matrix
 
 # orientation weight balancing rad against m in the DLS error vector
 _ORI_WEIGHT = 0.5
+_I3 = np.eye(3)
+# joint axes of the layout `inverse_kinematics` solves in closed form
+_CLOSED_FORM_AXES = np.array([[0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0]], float)
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,21 @@ class KinematicChain:
     def _tool_rt(self) -> tuple:
         return self.tool.R, self.tool.translation
 
+    @cached_property
+    def closed_form_layout(self) -> tuple[float, float, float, float] | None:
+        """(shoulder height, link 1, link 2, wrist-to-tool offset) of a z-y-y-y-x chain
+        whose joint origins and tool are unrotated, with joints 0-3 offset along z only
+        and joint 4 and the tool along x only; None for any other chain."""
+        frames = [j.origin for j in self.joints] + [self.tool]
+        offsets = np.array([f.translation for f in frames])
+        if (self.dof != 5
+                or not np.array_equal([j.axis for j in self.joints], _CLOSED_FORM_AXES)
+                or not all(np.array_equal(f.R, _I3) for f in frames)
+                or np.any(offsets[:4, :2]) or np.any(offsets[4:, 1:])):
+            return None
+        z = offsets[:4, 2].tolist()
+        return z[0] + z[1], z[2], z[3], float(offsets[4, 0] + offsets[5, 0])
+
     def clamp(self, q) -> np.ndarray:
         return np.clip(np.asarray(q, dtype=float), self.lower_limits, self.upper_limits)
 
@@ -100,8 +122,8 @@ class KinematicChain:
 
 @dataclass(frozen=True)
 class IkParams:
-    """Damped-least-squares solver settings; all values strictly positive except
-    `restarts`, which may be 0."""
+    """IK settings: the tolerances every solution is checked against, then the DLS
+    settings. All values are strictly positive except `restarts`, which may be 0."""
 
     position_tolerance: float = 1e-6   # m
     orientation_tolerance: float = 1e-6  # rad
@@ -117,9 +139,6 @@ class IkParams:
                 raise ValueError(f"IkParams.{name} must be positive")
         if self.restarts < 0:
             raise ValueError("IkParams.restarts must be >= 0")
-
-
-_I3 = np.eye(3)
 
 
 def _frames_fast(chain: KinematicChain, q: np.ndarray):
@@ -257,6 +276,58 @@ class _Solve:
         return q1, False
 
 
+# below this a horizontal direction (m, or a unit vector's length) is rounding noise
+_ON_AXIS = 1e-9
+# a branch this far (rad) past a joint limit is clipped onto it, not dropped: a
+# solution on a limit with a near-straight elbow comes back that far off
+_LIMIT_SLACK = 1e-7
+
+
+def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.ndarray:
+    """Exact solutions for a `closed_form_layout` chain (Pieper: the wrist centre
+    decouples position from orientation), one per row, nearest `seed` (L2) first.
+
+    The waist faces the wrist centre or away from it; with the wrist centre on
+    the waist axis, it faces along the approach (tool x) or against it; with
+    both vertical, it keeps the seed's angle. Each waist has an elbow-up and an
+    elbow-down branch. Each joint takes the 2π wrap nearest the seed inside its
+    limits (widened by _LIMIT_SLACK, then clipped), and a row with a joint that
+    no wrap fits is dropped. Rows are not checked against the target: an
+    unreachable target still yields rows.
+    """
+    h, l1, l2, d = chain.closed_form_layout
+    R = target.R
+    w = target.translation - d * R[:, 0]
+    if math.hypot(w[0], w[1]) >= _ON_AXIS:
+        a = math.atan2(w[1], w[0])
+        waists = (a, a + math.pi)
+    elif math.hypot(R[0, 0], R[1, 0]) >= _ON_AXIS:
+        a = math.atan2(R[1, 0], R[0, 0])
+        waists = (a, a + math.pi)
+    else:
+        waists = (seed[0],)
+    z = w[2] - h
+    c2 = (w[0] ** 2 + w[1] ** 2 + z * z - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    elbow = math.acos(min(1.0, max(-1.0, c2)))
+    rows = []
+    for q0 in waists:
+        c, s = math.cos(q0), math.sin(q0)
+        # Rz(q0)ᵀ R = Ry(pitch) Rx(roll): pitch from its column 0, roll from its row 1
+        pitch = math.atan2(-R[2, 0], c * R[0, 0] + s * R[1, 0])
+        roll = math.atan2(s * R[0, 2] - c * R[1, 2], c * R[1, 1] - s * R[0, 1])
+        reach = c * w[0] + s * w[1]
+        for q2 in (elbow, -elbow):
+            q1 = math.atan2(reach, z) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
+            rows.append((q0, q1, q2, pitch - q1 - q2, roll))
+    q = np.array(rows)
+    lo, hi = chain.lower_limits - _LIMIT_SLACK, chain.upper_limits + _LIMIT_SLACK
+    k = np.clip(np.round((seed - q) / TWO_PI), np.ceil((lo - q) / TWO_PI),
+                np.floor((hi - q) / TWO_PI))
+    q += TWO_PI * k
+    q = chain.clamp(q[np.all((q >= lo) & (q <= hi), axis=1)])
+    return q[np.argsort(np.linalg.norm(q - seed, axis=1), kind="stable")]
+
+
 def inverse_kinematics(
     chain: KinematicChain,
     target: SE3,
@@ -267,23 +338,38 @@ def inverse_kinematics(
 ) -> np.ndarray:
     """Solve for joints reaching `target`, seeded at `seed`.
 
-    Damped least squares (fixed damping) with per-iteration step clamping and
-    joint-limit projection. Each attempt descends a position-only homotopy
-    first, then the full pose error, with deterministic antithetic retries;
-    up to `params.restarts` uniform-in-limits reseeds run before raising
-    IkConvergenceError. A solved seed is returned unchanged.
+    A solved seed is returned unchanged. Full-pose targets on a chain with a
+    `closed_form_layout` (z-y-y-y-x) are solved in closed form: the in-limit
+    branch nearest the seed that meets the tolerances in `params`. Every other
+    solve, and a closed-form target with no such branch, runs damped least
+    squares (fixed damping) with per-iteration step clamping and joint-limit
+    projection. Each DLS attempt descends a position-only homotopy first, then
+    the full pose error, with deterministic antithetic retries; up to
+    `params.restarts` uniform-in-limits reseeds run before raising
+    IkConvergenceError. A non-finite target or seed raises ValueError.
 
     With position_only=True the orientation rows are dropped (used for
     redundant position targets such as the repeatability grid poses).
     """
     params = params or IkParams()
-    q0 = chain.clamp(chain.check_dimension(seed))
+    seed = chain.check_dimension(seed)
+    if not np.all(np.isfinite(seed)):
+        raise ValueError(f"inverse_kinematics: seed must be finite, got {seed}")
+    if not (np.all(np.isfinite(target.translation)) and np.all(np.isfinite(target.R))):
+        raise ValueError(f"inverse_kinematics: target must be finite, got t={target.translation}")
+    q0 = chain.clamp(seed)
     solver = _Solve(chain, target, params, position_only)
 
     # a solved seed short-circuits before any iteration
     _, _, _, _, ep, _, eo = solver.errors(q0)
     if solver.converged(ep, eo):
         return q0
+
+    if not position_only and chain.closed_form_layout is not None:
+        for q in _closed_form(chain, target, q0):
+            _, _, _, _, ep, _, eo = solver.errors(q)
+            if solver.converged(ep, eo):
+                return q
 
     rng = np.random.default_rng(rng_seed)
     q, ok = solver.attempt(q0)

@@ -197,6 +197,7 @@ def test_pre_push_below_push_rejected():
     ("controllers.lqr.r[1]", -0.5),
     ("controllers.lqr.q[0]", -1),
     ("controllers.lqr.q[2]", -1e-9),
+    ("noise.arm.sigma[0]", -1e-4),
 ])
 def test_malformed_value_names_exact_key(path, value):
     raw = locobot_raw()

@@ -1,13 +1,22 @@
+import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robokit import kinematics
 from robokit.config import load_config
 from robokit.errors import IkConvergenceError
 from robokit.geometry import SE3, axis_rotation, pose_error
 from robokit.kinematics import (IkParams, Joint, KinematicChain, forward_kinematics,
                                 inverse_kinematics, jacobian, pose_from_pitch_roll)
+
+LAYOUT_ROBOTS = ("locobot", "locobot_lite")
+config = functools.lru_cache(maxsize=None)(load_config)
 
 
 def planar_two_link(l1=1.0, l2=1.0):
@@ -174,3 +183,100 @@ def test_joint_validation():
         Joint("bad", SE3(), (0, 0, 2.0), -1, 1)  # non-unit axis
     with pytest.raises(ValueError):
         Joint("bad", SE3(), (0, 0, 1.0), 1, -1)  # inverted limits
+
+
+def no_dls():
+    """Fails the test if a solve falls through to damped least squares."""
+    return mock.patch.object(kinematics._Solve, "attempt",
+                             side_effect=AssertionError("closed form fell through to DLS"))
+
+
+@pytest.mark.parametrize("target, seed, name", [
+    (SE3((math.nan, 0.0, 0.3)), None, "target"),
+    (SE3((0.3, 0.0, math.inf)), None, "target"),
+    (SE3((0.3, 0.0, 0.3), np.full((3, 3), math.nan)), None, "target"),
+    (SE3((0.3, 0.0, 0.3)), [0.0, math.nan, 0.0, 0.0, 0.0], "seed"),
+    (SE3((0.3, 0.0, 0.3)), [0.0, 0.0, -math.inf, 0.0, 0.0], "seed"),
+])
+def test_ik_non_finite_input_fails_fast(target, seed, name):
+    cfg = config("locobot")
+    seed = cfg.home if seed is None else seed
+    with no_dls(), pytest.raises(ValueError, match=name):
+        inverse_kinematics(cfg.chain, target, seed, cfg.ik)
+
+
+def in_limit_joints(chain):
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in
+                       zip(chain.lower_limits, chain.upper_limits))).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LAYOUT_ROBOTS).flatmap(
+    lambda name: st.tuples(st.just(name), in_limit_joints(config(name).chain),
+                           in_limit_joints(config(name).chain))))
+def test_closed_form_round_trip_in_limits_nearest_seed(case):
+    name, q, seed = case
+    cfg = config(name)
+    chain = cfg.chain
+    target = forward_kinematics(chain, q)
+    with no_dls():
+        sol = inverse_kinematics(chain, target, seed, cfg.ik)
+    dp, dori = pose_error(target, forward_kinematics(chain, sol))
+    assert np.linalg.norm(dp) <= 1e-6 and np.linalg.norm(dori) <= 1e-6
+    assert np.all(sol >= chain.lower_limits) and np.all(sol <= chain.upper_limits)
+    # q itself is one of the candidates, so the chosen branch is at least as near.
+    # Near a straight elbow the target fixes the elbow only to about sqrt(ulp)
+    # (1e-8 rad): there the candidate that stands for q is that far from it
+    slack = 1e-9 if abs(math.sin(q[2])) > 1e-3 else 1e-7
+    assert np.linalg.norm(sol - seed) <= np.linalg.norm(q - seed) + slack
+
+
+@pytest.mark.parametrize("name", LAYOUT_ROBOTS)
+def test_closed_form_wrist_centre_on_waist_axis(name):
+    cfg = config(name)
+    chain = cfg.chain
+    seed = np.array([0.7, -0.4, 1.1, 0.3, -0.5])
+    # shoulder and elbow straight up put the wrist centre on the waist axis. A
+    # tilted approach fixes the waist; a vertical one leaves waist + roll free,
+    # and the seed's waist is kept
+    for q, waist in (([-1.2, 0.0, 0.0, 0.8, 0.4], -1.2), ([-1.2, 0.0, 0.0, math.pi / 2, 0.4], 0.7)):
+        target = forward_kinematics(chain, q)
+        assert np.hypot(*(target.translation - 0.1 * target.R[:, 0])[:2]) < 1e-12
+        with no_dls():
+            sol = inverse_kinematics(chain, target, seed, cfg.ik)
+        assert sol[0] == pytest.approx(waist, abs=1e-12)
+        dp, dori = pose_error(target, forward_kinematics(chain, sol))
+        assert np.linalg.norm(dp) <= 1e-6 and np.linalg.norm(dori) <= 1e-6
+
+
+def _moved(chain, index, **changes):
+    joints = list(chain.joints)
+    joints[index] = dataclasses.replace(joints[index], **changes)
+    return KinematicChain(tuple(joints), chain.tool)
+
+
+def test_closed_form_layout_detection():
+    locobot = config("locobot").chain
+    assert locobot.closed_form_layout == pytest.approx((0.13, 0.23, 0.22, 0.10))
+    assert config("locobot_lite").chain.closed_form_layout == locobot.closed_form_layout
+    assert config("sawyer_sim").chain.closed_form_layout is None
+    shifted = _moved(locobot, 1, origin=SE3((0.0, 0.01, 0.05)))
+    tilted_tool = KinematicChain(locobot.joints, SE3.from_xyz_rpy((0.05, 0.0, 0.0), (0.1, 0.0, 0.0)))
+    q = np.array([0.3, 0.4, 0.5, 0.3, 0.2])
+    for chain in (shifted, tilted_tool):
+        assert chain.closed_form_layout is None
+        target = forward_kinematics(chain, q)
+        with mock.patch.object(kinematics, "_closed_form",
+                               side_effect=AssertionError("closed form on a non-matching chain")):
+            sol = inverse_kinematics(chain, target, np.zeros(5), config("locobot").ik)
+        dp, dori = pose_error(target, forward_kinematics(chain, sol))
+        assert np.linalg.norm(dp) <= 1e-6 and np.linalg.norm(dori) <= 1e-6
+
+
+def test_position_only_solves_stay_on_dls():
+    cfg = config("locobot")
+    with mock.patch.object(kinematics, "_closed_form",
+                           side_effect=AssertionError("closed form on a position-only solve")):
+        q = inverse_kinematics(cfg.chain, SE3((0.40, 0.10, 0.20)), cfg.home, cfg.ik,
+                               position_only=True)
+    assert np.linalg.norm(forward_kinematics(cfg.chain, q).translation - [0.40, 0.10, 0.20]) <= 1e-6
