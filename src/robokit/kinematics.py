@@ -288,9 +288,10 @@ def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.nda
     decouples position from orientation), one per row, nearest `seed` (L2) first.
 
     The waist faces the wrist centre or away from it; with the wrist centre on
-    the waist axis, it faces along the approach (tool x) or against it; with
-    both vertical, it keeps the seed's angle. Each waist has an elbow-up and an
-    elbow-down branch. Each joint takes the 2π wrap nearest the seed inside its
+    the waist axis, it faces along the approach (tool x) or against it. With
+    both vertical, the target fixes only waist ∓ roll (pitch ±π/2), and
+    `_nearest_on_family` picks the points of that family nearest the seed.
+    Each waist has an elbow-up and an elbow-down branch. Each joint takes the 2π wrap nearest the seed inside its
     limits (widened by _LIMIT_SLACK, then clipped), and a row with a joint that
     no wrap fits is dropped. Rows are not checked against the target: an
     unreachable target still yields rows.
@@ -320,12 +321,44 @@ def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.nda
             q1 = math.atan2(reach, z) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
             rows.append((q0, q1, q2, pitch - q1 - q2, roll))
     q = np.array(rows)
+    if len(waists) == 1:
+        q = _nearest_on_family(chain, q, seed, -math.copysign(1.0, R[2, 0]))
     lo, hi = chain.lower_limits - _LIMIT_SLACK, chain.upper_limits + _LIMIT_SLACK
     k = np.clip(np.round((seed - q) / TWO_PI), np.ceil((lo - q) / TWO_PI),
                 np.floor((hi - q) / TWO_PI))
     q += TWO_PI * k
     q = chain.clamp(q[np.all((q >= lo) & (q <= hi), axis=1)])
     return q[np.argsort(np.linalg.norm(q - seed, axis=1), kind="stable")]
+
+
+def _nearest_on_family(chain: KinematicChain, rows: np.ndarray, seed: np.ndarray,
+                       s: float) -> np.ndarray:
+    """`rows` (all at the seed's waist) moved in (waist, roll) onto the family that
+    keeps waist - s·roll modulo 2π, at its points nearest the seed: the
+    projection of the seed onto the nearest line of the family and onto its two
+    2π neighbours, each moved along its line into the joint limits."""
+    e = ((s * (rows[0, 4] - seed[4]) + math.pi) % TWO_PI - math.pi
+         + TWO_PI * np.array([-1.0, 0.0, 1.0]))
+    waist, roll = seed[0] - e / 2.0, seed[4] + s * e / 2.0
+    lo, hi = chain.lower_limits, chain.upper_limits
+    roll_lo, roll_hi = np.sort([s * (lo[4] - roll), s * (hi[4] - roll)], axis=0)
+    t = np.clip(0.0, np.maximum(lo[0] - waist, roll_lo), np.minimum(hi[0] - waist, roll_hi))
+    out = np.repeat(rows, len(e), axis=0)
+    out[:, 0] = np.tile(waist + t, len(rows))
+    out[:, 4] = np.tile(roll + s * t, len(rows))
+    return out
+
+
+def _beyond_reach(chain: KinematicChain, target: SE3, params: IkParams) -> bool:
+    """True when no pose within the tolerances of `target` puts the wrist centre
+    at a distance from the shoulder that links 1 and 2 can span (a pose within
+    them moves the wrist centre by at most position_tolerance +
+    |d|·orientation_tolerance)."""
+    h, l1, l2, d = chain.closed_form_layout
+    w = target.translation - d * target.R[:, 0] - (0.0, 0.0, h)
+    r = math.sqrt(w @ w)
+    margin = params.position_tolerance + abs(d) * params.orientation_tolerance
+    return r > l1 + l2 + margin or r < abs(l1 - l2) - margin
 
 
 def inverse_kinematics(
@@ -340,7 +373,9 @@ def inverse_kinematics(
 
     A solved seed is returned unchanged. Full-pose targets on a chain with a
     `closed_form_layout` (z-y-y-y-x) are solved in closed form: the in-limit
-    branch nearest the seed that meets the tolerances in `params`. Every other
+    branch nearest the seed that meets the tolerances in `params`; a target
+    whose wrist centre is out of the arm's reach raises IkConvergenceError at
+    once, with the nearest branch's residuals and 0 iterations. Every other
     solve, and a closed-form target with no such branch, runs damped least
     squares (fixed damping) with per-iteration step clamping and joint-limit
     projection. Each DLS attempt descends a position-only homotopy first, then
@@ -366,10 +401,14 @@ def inverse_kinematics(
         return q0
 
     if not position_only and chain.closed_form_layout is not None:
-        for q in _closed_form(chain, target, q0):
+        rows = _closed_form(chain, target, q0)
+        for q in rows:
             _, _, _, _, ep, _, eo = solver.errors(q)
             if solver.converged(ep, eo):
                 return q
+        if _beyond_reach(chain, target, params):
+            _, _, _, _, ep, _, eo = solver.errors(rows[0] if len(rows) else q0)
+            raise IkConvergenceError(ep, eo, 0)
 
     rng = np.random.default_rng(rng_seed)
     q, ok = solver.attempt(q0)

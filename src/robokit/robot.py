@@ -241,6 +241,7 @@ class CameraInterface:
         self.intrinsics = config.camera.intrinsics
 
     def set_pan_tilt(self, pan: float, tilt: float) -> None:
+        _check_finite(pan=pan, tilt=tilt)
         self._sim.set_pan_tilt(pan, tilt)
 
     @property

@@ -253,6 +253,14 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
+def _in_image(xc, yc, zc, intrinsics: CameraIntrinsics, pad: float = 0.0) -> np.ndarray:
+    """Mask of camera-frame points whose pixel lies in the image widened by `pad` px."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * xc / zc + intrinsics.cx
+        v = intrinsics.fy * yc / zc + intrinsics.cy
+    return (u >= -pad) & (u < intrinsics.width + pad) & (v >= -pad) & (v < intrinsics.height + pad)
+
+
 def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrinsics,
                        density: float = 20000.0, depth_sigma: float = 0.0,
                        rng: np.random.Generator | None = None,
@@ -261,55 +269,47 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
 
     Upper/front object faces and the floor disk within camera range are sampled
     uniformly by area; Gaussian depth noise perturbs each point along its view
-    ray; only points inside the camera frustum (and range) are returned.
-    Object-vs-object occlusion is not modeled.
+    ray; only points inside the camera frustum (and range) are returned, object
+    points first. Object-vs-object occlusion is not modeled.
+
+    The floor is drawn over the whole range disk, whatever the camera sees, so
+    the random stream stays fixed; its samples are then culled to the frustum
+    before the exact projection. A render with no point in view returns a
+    (0, 3) cloud and no tags.
     """
     if density <= 0:
         raise ValueError("density must be positive")
     rng = rng or np.random.default_rng(3)
     cam_pos = camera_pose.translation
+    inv = camera_pose.inverse()
 
-    all_pts, all_normals, all_tags = [], [], []
-    for obj in scene.objects:
-        if obj.shape == "box":
-            pts, normals = _box_surface_samples(obj, density, rng)
-        else:
-            pts, normals = _cylinder_surface_samples(obj, density, rng)
-        all_pts.append(pts)
-        all_normals.append(normals)
-        all_tags.append(np.full(len(pts), TAG_OBJECT, dtype=np.int8))
+    samples = [(_box_surface_samples if obj.shape == "box" else _cylinder_surface_samples)(
+        obj, density, rng) for obj in scene.objects]
+    obj_pts = np.vstack([np.zeros((0, 3))] + [p for p, _ in samples])
+    normals = np.vstack([np.zeros((0, 3))] + [n for _, n in samples])
+    obj_pts = obj_pts[np.einsum("ij,ij->i", normals, cam_pos - obj_pts) > 0.0]
 
+    floor_pts = np.zeros((0, 3))
     n_floor = int(round(math.pi * max_range ** 2 * density))
     if n_floor:
         rad = max_range * np.sqrt(rng.uniform(0.0, 1.0, n_floor))
         ang = rng.uniform(0.0, 2 * math.pi, n_floor)
         fx_ = cam_pos[0] + rad * np.cos(ang)
         fy_ = cam_pos[1] + rad * np.sin(ang)
-        keep = fx_ ** 2 + fy_ ** 2 <= scene.floor_radius ** 2
+        # on z = 0 the camera frame is affine in (x, y), and the floor faces +z. The
+        # cull widens the exact test below by 1e-6 m in depth and 1 px in the image,
+        # so rounding never drops a point that test keeps
+        xc, yc, zc = (r[0] * fx_ + r[1] * fy_ + t for r, t in zip(inv.R, inv.translation))
+        keep = ((fx_ ** 2 + fy_ ** 2 <= scene.floor_radius ** 2) & (cam_pos[2] > 0.0)
+                & (zc > 0.01 - 1e-6) & _in_image(xc, yc, zc, intrinsics, pad=1.0))
         floor_pts = np.column_stack([fx_[keep], fy_[keep], np.zeros(int(keep.sum()))])
-        all_pts.append(floor_pts)
-        all_normals.append(np.tile([0.0, 0.0, 1.0], (len(floor_pts), 1)))
-        all_tags.append(np.full(len(floor_pts), TAG_FLOOR, dtype=np.int8))
 
-    pts = np.vstack([p for p in all_pts if len(p)]) if all_pts else np.zeros((0, 3))
-    normals = np.vstack([n for n in all_normals if len(n)]) if all_normals else np.zeros((0, 3))
-    tags = np.concatenate([t for t in all_tags if len(t)]) if all_tags else np.zeros(0, dtype=np.int8)
-    if len(pts) == 0:
-        return pts, tags
-
-    to_cam = (cam_pos - pts)
-    visible = np.einsum("ij,ij->i", normals, to_cam) > 0.0
-    pts, tags = pts[visible], tags[visible]
-
-    inv = camera_pose.inverse()
+    pts = np.vstack([obj_pts, floor_pts])
+    tags = np.repeat(np.array([TAG_OBJECT, TAG_FLOOR], dtype=np.int8),
+                     [len(obj_pts), len(floor_pts)])
     pc = inv.transform_point(pts)
-    z = pc[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intrinsics.fx * pc[:, 0] / z + intrinsics.cx
-        v = intrinsics.fy * pc[:, 1] / z + intrinsics.cy
-    rng_dist = np.linalg.norm(pc, axis=1)
-    keep = ((z > 0.01) & (u >= 0) & (u < intrinsics.width)
-            & (v >= 0) & (v < intrinsics.height) & (rng_dist <= max_range))
+    keep = ((pc[:, 2] > 0.01) & _in_image(*pc.T, intrinsics)
+            & (np.linalg.norm(pc, axis=1) <= max_range))
     pts, tags = pts[keep], tags[keep]
 
     if depth_sigma > 0 and len(pts):

@@ -158,10 +158,13 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     Core points have >= min_pts neighbors within eps (inclusive, the point
     itself counts); clusters grow by density reachability. Cluster ids are
     assigned in input order of the first core point, so the labeling is
-    deterministic for a fixed input order.
+    deterministic for a fixed input order; a border point reachable from two
+    clusters keeps the first.
 
-    Neighborhoods come from a dense pairwise-distance matrix (O(N^2) memory):
-    fine for filtered skill-scale clouds, not for raw full-frame clouds.
+    Each cluster grows a frontier at a time: the unlabeled neighbors of the
+    frontier's core points form the next frontier. Neighborhoods come from a
+    dense pairwise-distance matrix (O(N^2) memory): fine for filtered
+    skill-scale clouds, not for raw full-frame clouds.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -172,23 +175,16 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     neighbors = d2 <= params.eps ** 2
     core = neighbors.sum(axis=1) >= params.min_pts
     cluster = 0
-    visited = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if visited[i] or not core[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
-        queue = [i]
-        visited[i] = True
-        labels[i] = cluster
-        while queue:
-            j = queue.pop()
-            if not core[j]:
-                continue
-            for k in np.nonzero(neighbors[j])[0]:
-                if labels[k] == NOISE:
-                    labels[k] = cluster
-                if not visited[k]:
-                    visited[k] = True
-                    queue.append(k)
+        member = np.zeros(n, dtype=bool)
+        member[i] = True
+        frontier = member.copy()
+        while frontier.any():
+            frontier = neighbors[frontier & core].any(axis=0) & ~member
+            member |= frontier
+        labels[member & (labels == NOISE)] = cluster
         cluster += 1
     return labels
 

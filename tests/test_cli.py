@@ -154,13 +154,16 @@ def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
     (["plan", "--map", "{tmp}/walled.grid", "--start", "0.15,0.15,0", "--goal", "0.85,0.85,0"],
      2, "NoPath"),
     (["demo", "push", "--scene", "{tmp}/no_objects.yaml"], 2, "NoClusters"),
+    (["demo", "push", "--scene", "{tmp}/empty_view.yaml"], 2, "NoClusters"),
+    (["demo", "grasp", "--tilt", "nan"], 1, "tilt must be finite"),
     (["track", "--radius", "inf"], 1, "radius and speed must be positive and finite"),
     (["track", "--radius", "nan"], 1, "radius and speed must be positive and finite"),
     (["plan", "--map", "{tmp}", "--start", "0,0,0", "--goal", "1,1,0"], 1, "Is a directory"),
     (["plan", "--map", "{tmp}/rotated.grid", "--start", "0.05,0.05,0", "--goal", "0.15,0.15,0"],
      1, "grid file: line 4: origin theta must be 0"),
 ], ids=["missing-map", "missing-robot", "missing-scene", "bad-grid-header", "objects-not-list",
-        "nan-pose", "disconnected-goal", "no-clusters", "inf-radius", "nan-radius",
+        "nan-pose", "disconnected-goal", "no-clusters", "empty-view", "nan-tilt",
+        "inf-radius", "nan-radius",
         "map-is-directory", "rotated-map"])
 def test_error_exit_codes(tmp_path, capsys, args, code, message):
     from robokit.planning import OccupancyGrid
@@ -173,6 +176,8 @@ def test_error_exit_codes(tmp_path, capsys, args, code, message):
                                            "..\n..\n")
     (tmp_path / "objects_5.yaml").write_text("objects: 5\n")
     (tmp_path / "no_objects.yaml").write_text("objects: []\n")
+    # the camera's range disk misses a 1 mm floor patch: nothing is drawn in view
+    (tmp_path / "empty_view.yaml").write_text("floor_radius: 0.001\nobjects: []\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
     assert run_cli(argv, tmp_path / "out", "t") == code
     assert message in capsys.readouterr().err

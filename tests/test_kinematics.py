@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robokit import kinematics
@@ -153,6 +153,23 @@ def test_ik_unreachable_target_raises():
     assert exc.value.position_residual > 1.0
 
 
+@pytest.mark.parametrize("name", LAYOUT_ROBOTS)
+def test_ik_beyond_reach_raises_without_dls(name):
+    cfg = config(name)
+    h, l1, l2, d = cfg.chain.closed_form_layout
+    # wrist centres past the stretched arm and at the shoulder itself
+    for wrist in ((0.0, 0.0, h + l1 + l2 + 1e-3), (l1 + l2 + 0.2, 0.1, h), (0.0, 0.0, h)):
+        target = SE3(np.add(wrist, (d, 0.0, 0.0)))
+        with no_dls(), pytest.raises(IkConvergenceError) as exc:
+            inverse_kinematics(cfg.chain, target, cfg.home, cfg.ik)
+        assert exc.value.iterations == 0 and exc.value.position_residual > 1e-3
+    # the stretched arm itself is within reach and still solves
+    target = forward_kinematics(cfg.chain, [0.3, 0.4, 0.0, 0.2, -0.5])
+    q = inverse_kinematics(cfg.chain, target, cfg.home, cfg.ik)
+    dp, dori = pose_error(target, forward_kinematics(cfg.chain, q))
+    assert np.linalg.norm(dp) <= 1e-6 and np.linalg.norm(dori) <= 1e-6
+
+
 def test_ik_position_only_mode():
     cfg = load_config("locobot")
     target = SE3((0.40, 0.10, 0.20))
@@ -210,10 +227,23 @@ def in_limit_joints(chain):
                        zip(chain.lower_limits, chain.upper_limits))).map(np.array)
 
 
+def vertical_on_axis_joints(chain):
+    """Shoulder and elbow straight up, wrist pitch ±π/2: the wrist centre is on the
+    waist axis and the approach is vertical, so waist and roll form a family."""
+    lo, hi = chain.lower_limits, chain.upper_limits
+    return st.tuples(st.floats(lo[0], hi[0]), st.just(0.0), st.just(0.0),
+                     st.sampled_from([math.pi / 2, -math.pi / 2]),
+                     st.floats(lo[4], hi[4])).map(np.array)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(LAYOUT_ROBOTS).flatmap(
-    lambda name: st.tuples(st.just(name), in_limit_joints(config(name).chain),
+    lambda name: st.tuples(st.just(name),
+                           st.one_of(in_limit_joints(config(name).chain),
+                                     vertical_on_axis_joints(config(name).chain)),
                            in_limit_joints(config(name).chain))))
+@example(("locobot", np.array([0.5, 0.0, 0.0, math.pi / 2, 0.3]),
+          np.array([-1.0, 0.0, 0.0, math.pi / 2, 1.5])))
 def test_closed_form_round_trip_in_limits_nearest_seed(case):
     name, q, seed = case
     cfg = config(name)
@@ -237,9 +267,11 @@ def test_closed_form_wrist_centre_on_waist_axis(name):
     chain = cfg.chain
     seed = np.array([0.7, -0.4, 1.1, 0.3, -0.5])
     # shoulder and elbow straight up put the wrist centre on the waist axis. A
-    # tilted approach fixes the waist; a vertical one leaves waist + roll free,
-    # and the seed's waist is kept
-    for q, waist in (([-1.2, 0.0, 0.0, 0.8, 0.4], -1.2), ([-1.2, 0.0, 0.0, math.pi / 2, 0.4], 0.7)):
+    # tilted approach fixes the waist; a vertical one (pitch π/2) fixes only
+    # waist - roll = -1.6, and the seed (0.7, -0.5) projects onto that line at
+    # (-0.7, 0.9)
+    for q, waist in (([-1.2, 0.0, 0.0, 0.8, 0.4], -1.2),
+                     ([-1.2, 0.0, 0.0, math.pi / 2, 0.4], -0.7)):
         target = forward_kinematics(chain, q)
         assert np.hypot(*(target.translation - 0.1 * target.R[:, 0])[:2]) < 1e-12
         with no_dls():

@@ -319,14 +319,18 @@ NAN, INF = float("nan"), float("inf")
     (lambda bot: bot.arm.move_ee_xyz([0.0, 0.0, INF]), "displacement"),
     (lambda bot: bot.arm.move_ee_xyz([0.0, 0.0, -0.05], step=NAN), "step"),
     (lambda bot: bot.arm.move_ee_xyz([0.0, 0.0, -0.05], step=INF), "step"),
+    (lambda bot: bot.camera.set_pan_tilt(NAN, 0.7), "pan"),
+    (lambda bot: bot.camera.set_pan_tilt(0.0, INF), "tilt"),
 ], ids=["abs-nan-x", "rel-nan-theta", "joints-nan", "position-nan",
-        "pitch-inf", "roll-nan", "displacement-inf", "step-nan", "step-inf"])
+        "pitch-inf", "roll-nan", "displacement-inf", "step-nan", "step-inf",
+        "pan-nan", "tilt-inf"])
 def test_non_finite_input_fails_fast(locobot_cfg, call, name):
     """The facade rejects NaN/inf before any motion, naming the bad argument."""
     bot = fresh_robot(locobot_cfg)
-    q0 = bot.arm.joint_positions
+    q0, pan_tilt = bot.arm.joint_positions, bot.camera.pan_tilt
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(bot)
     assert bot.sim_time == 0.0
     assert bot.base.odom_pose == Pose2D()
     np.testing.assert_array_equal(bot.arm.joint_positions, q0)
+    assert bot.camera.pan_tilt == pan_tilt

@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robokit.config import load_config, load_scene
-from robokit.geometry import SE3, Pose2D
+from robokit.geometry import SE3, Pose2D, axis_rotation
 from robokit.kinematics import forward_kinematics
 from robokit.report import read_xyz, write_xyz
 from robokit.sim import (ArmNoiseModel, ArmSim, BaseNoiseModel, CameraIntrinsics,
                          DiffDriveSim, Scene, SceneObject, TAG_FLOOR, TAG_OBJECT,
+                         _box_surface_samples, _cylinder_surface_samples,
                          render_point_cloud, subsystem_rngs)
 from robokit.trajectory import ControlCommand, VelocityLimits
 
@@ -202,6 +205,130 @@ def test_render_determinism():
                                rng=np.random.default_rng(9), depth_sigma=0.002)
     assert np.array_equal(a, b)
     assert np.array_equal(ta, tb)
+
+
+def reference_render_point_cloud(scene, camera_pose, intrinsics, density=20000.0,
+                                 depth_sigma=0.0, rng=None, max_range=1.5):
+    """The renderer before the floor cull, verbatim: it stacks, transforms and projects
+    every floor sample (the oracle for byte equality)."""
+    if density <= 0:
+        raise ValueError("density must be positive")
+    rng = rng or np.random.default_rng(3)
+    cam_pos = camera_pose.translation
+
+    all_pts, all_normals, all_tags = [], [], []
+    for obj in scene.objects:
+        if obj.shape == "box":
+            pts, normals = _box_surface_samples(obj, density, rng)
+        else:
+            pts, normals = _cylinder_surface_samples(obj, density, rng)
+        all_pts.append(pts)
+        all_normals.append(normals)
+        all_tags.append(np.full(len(pts), TAG_OBJECT, dtype=np.int8))
+
+    n_floor = int(round(math.pi * max_range ** 2 * density))
+    if n_floor:
+        rad = max_range * np.sqrt(rng.uniform(0.0, 1.0, n_floor))
+        ang = rng.uniform(0.0, 2 * math.pi, n_floor)
+        fx_ = cam_pos[0] + rad * np.cos(ang)
+        fy_ = cam_pos[1] + rad * np.sin(ang)
+        keep = fx_ ** 2 + fy_ ** 2 <= scene.floor_radius ** 2
+        floor_pts = np.column_stack([fx_[keep], fy_[keep], np.zeros(int(keep.sum()))])
+        all_pts.append(floor_pts)
+        all_normals.append(np.tile([0.0, 0.0, 1.0], (len(floor_pts), 1)))
+        all_tags.append(np.full(len(floor_pts), TAG_FLOOR, dtype=np.int8))
+
+    pts = np.vstack([p for p in all_pts if len(p)]) if all_pts else np.zeros((0, 3))
+    normals = np.vstack([n for n in all_normals if len(n)]) if all_normals else np.zeros((0, 3))
+    tags = np.concatenate([t for t in all_tags if len(t)]) if all_tags else np.zeros(0, dtype=np.int8)
+    if len(pts) == 0:
+        return pts, tags
+
+    to_cam = (cam_pos - pts)
+    visible = np.einsum("ij,ij->i", normals, to_cam) > 0.0
+    pts, tags = pts[visible], tags[visible]
+
+    inv = camera_pose.inverse()
+    pc = inv.transform_point(pts)
+    z = pc[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * pc[:, 0] / z + intrinsics.cx
+        v = intrinsics.fy * pc[:, 1] / z + intrinsics.cy
+    rng_dist = np.linalg.norm(pc, axis=1)
+    keep = ((z > 0.01) & (u >= 0) & (u < intrinsics.width)
+            & (v >= 0) & (v < intrinsics.height) & (rng_dist <= max_range))
+    pts, tags = pts[keep], tags[keep]
+
+    if depth_sigma > 0 and len(pts):
+        rays = pts - cam_pos
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        pts = pts + rays * (depth_sigma * rng.standard_normal(len(pts)))[:, None]
+    return pts, tags
+
+
+def _rotation(yaw, pitch, roll):
+    return (axis_rotation((0.0, 0.0, 1.0), yaw) @ axis_rotation((0.0, 1.0, 0.0), pitch)
+            @ axis_rotation((1.0, 0.0, 0.0), roll))
+
+
+_angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def scene_objects(draw):
+    shape = draw(st.sampled_from(["box", "cylinder"]))
+    xyz = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 0.3)))
+    pose = SE3(xyz, _rotation(draw(_angle), draw(_angle), draw(_angle)))
+    dims = draw(st.lists(st.floats(0.01, 0.3), min_size=3 if shape == "box" else 2,
+                         max_size=3 if shape == "box" else 2))
+    return SceneObject(shape, pose, tuple(dims))
+
+
+@st.composite
+def render_cases(draw):
+    """Camera anywhere from below the floor to well above it, in any orientation, with
+    random intrinsics, range, density, floor radius and objects."""
+    width, height = draw(st.integers(16, 640)), draw(st.integers(12, 480))
+    intr = CameraIntrinsics(draw(st.floats(50.0, 2000.0)), draw(st.floats(50.0, 2000.0)),
+                            draw(st.floats(0.0, width)), draw(st.floats(0.0, height)),
+                            width, height)
+    # some within 5 cm of the floor, where floor points sit near the 1 cm depth bound
+    cam_xyz = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
+               draw(st.one_of(st.floats(-0.3, 1.2), st.floats(0.0, 0.05))))
+    pitch = draw(st.one_of(_angle, st.floats(0.2, 1.4)))   # half of them look down
+    cam = SE3(cam_xyz, _rotation(draw(_angle), pitch, draw(_angle)) @ OPTICAL)
+    scene = Scene(objects=draw(st.lists(scene_objects(), max_size=3)),
+                  floor_radius=draw(st.floats(0.001, 3.0)))
+    kwargs = {"density": draw(st.floats(50.0, 6000.0)),
+              "depth_sigma": draw(st.sampled_from([0.0, 0.002])),
+              "max_range": draw(st.floats(0.05, 2.0))}
+    return scene, cam, intr, kwargs, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_cases())
+def test_render_matches_reference(case):
+    scene, cam, intr, kwargs, seed = case
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts, tags = render_point_cloud(scene, cam, intr, rng=rng, **kwargs)
+    try:
+        ref_pts, ref_tags = reference_render_point_cloud(scene, cam, intr, rng=rng_ref, **kwargs)
+    except ValueError:   # it cannot stack an empty draw (raised after every draw it makes)
+        ref_pts, ref_tags = np.zeros((0, 3)), np.zeros(0, dtype=np.int8)
+    assert pts.dtype == ref_pts.dtype and tags.dtype == ref_tags.dtype
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(tags, ref_tags)
+    assert rng.random() == rng_ref.random()
+
+
+def test_render_empty_view_returns_empty_cloud():
+    # the range disk around the camera misses the 1 mm floor patch and there is no object
+    intr = CameraIntrinsics(600, 600, 320, 240)
+    cam = SE3((0.5, 0.0, 0.6), _rotation(0.0, 0.7, 0.0) @ OPTICAL)
+    pts, tags = render_point_cloud(Scene(objects=[], floor_radius=0.001), cam, intr,
+                                   rng=np.random.default_rng(0), depth_sigma=0.002, max_range=0.3)
+    assert pts.shape == (0, 3) and pts.dtype == float
+    assert tags.shape == (0,) and tags.dtype == np.int8
 
 
 def test_noise_streams_independent():

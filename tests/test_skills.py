@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robokit.backends import SimBackend
 from robokit.config import load_config
@@ -234,6 +236,95 @@ def test_dbscan_permutation_invariance_separated_clusters():
     permuted = dbscan(pts[perm], params)
     assert relabel_match(base[perm], permuted)
     assert np.array_equal((base == NOISE)[perm], permuted == NOISE)
+
+
+def neighbor_loop_dbscan(points, params):
+    """DBSCAN that expands one neighbour at a time from a stack, with a visited set:
+    the implementation before frontier expansion, kept verbatim as the oracle for
+    exact labels (same ids, same border assignment)."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    labels = np.full(n, NOISE, dtype=int)
+    if n == 0:
+        return labels
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    neighbors = d2 <= params.eps ** 2
+    core = neighbors.sum(axis=1) >= params.min_pts
+    cluster = 0
+    visited = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if visited[i] or not core[i]:
+            continue
+        queue = [i]
+        visited[i] = True
+        labels[i] = cluster
+        while queue:
+            j = queue.pop()
+            if not core[j]:
+                continue
+            for k in np.nonzero(neighbors[j])[0]:
+                if labels[k] == NOISE:
+                    labels[k] = cluster
+                if not visited[k]:
+                    visited[k] = True
+                    queue.append(k)
+        cluster += 1
+    return labels
+
+
+def _bridged_pair(eps, min_pts):
+    """Two dense runs of min_pts points on a line with one point between them, 0.9 eps
+    from the nearest point of each run: a border point both clusters reach."""
+    run = np.arange(min_pts) * (0.4 * eps / max(1, min_pts - 1))
+    bridge = run[-1] + 0.9 * eps
+    xs = np.concatenate([run, [bridge], bridge + 0.9 * eps + run])
+    return np.column_stack([xs, np.zeros_like(xs)])
+
+
+@st.composite
+def dbscan_cases(draw):
+    """Uniform clouds, Gaussian blobs, lattices at spacing exactly eps and bridged
+    cluster pairs, mixed and shuffled."""
+    eps = draw(st.floats(0.005, 0.2))
+    min_pts = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["uniform", "blobs", "lattice", "bridge"]),
+                              min_size=1, max_size=3)):
+        offset = rng.uniform(-1.0, 1.0, 2)
+        if kind == "uniform":
+            parts.append(offset + rng.uniform(0.0, 20 * eps, (int(rng.integers(0, 120)), 2)))
+        elif kind == "blobs":
+            for _ in range(int(rng.integers(1, 4))):
+                centre = offset + rng.uniform(0.0, 10 * eps, 2)
+                parts.append(rng.normal(centre, eps, (int(rng.integers(1, 40)), 2)))
+        elif kind == "lattice":
+            nx, ny = rng.integers(1, 12, 2)
+            gx, gy = np.meshgrid(np.arange(nx) * eps, np.arange(ny) * eps)
+            grid = np.column_stack([gx.ravel(), gy.ravel()])
+            parts.append(offset + grid[rng.uniform(size=len(grid)) < 0.8])
+        else:
+            parts.append(offset + _bridged_pair(eps, min_pts))
+    pts = np.vstack(parts)
+    return pts[rng.permutation(len(pts))], DbscanParams(eps, min_pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dbscan_cases())
+def test_dbscan_labels_equal_neighbor_loop(case):
+    pts, params = case
+    assert np.array_equal(dbscan(pts, params), neighbor_loop_dbscan(pts, params))
+
+
+def test_dbscan_border_point_keeps_first_cluster():
+    params = DbscanParams(eps=0.05, min_pts=4)
+    pts = _bridged_pair(params.eps, params.min_pts)
+    bridge = params.min_pts
+    for order in (np.arange(len(pts)), np.arange(len(pts))[::-1]):
+        labels = dbscan(pts[order], params)
+        assert set(labels.tolist()) == {0, 1}
+        assert labels[np.flatnonzero(order == bridge)[0]] == 0
+        assert np.array_equal(labels, neighbor_loop_dbscan(pts[order], params))
 
 
 # --- push planning ----------------------------------------------------------------
