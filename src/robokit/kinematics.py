@@ -289,12 +289,12 @@ def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.nda
 
     The waist faces the wrist centre or away from it; with the wrist centre on
     the waist axis, it faces along the approach (tool x) or against it. With
-    both vertical, the target fixes only waist ∓ roll (pitch ±π/2), and
-    `_nearest_on_family` picks the points of that family nearest the seed.
-    Each waist has an elbow-up and an elbow-down branch. Each joint takes the 2π wrap nearest the seed inside its
-    limits (widened by _LIMIT_SLACK, then clipped), and a row with a joint that
-    no wrap fits is dropped. Rows are not checked against the target: an
-    unreachable target still yields rows.
+    both vertical (pitch ±π/2), the target fixes only waist ∓ roll, and
+    `_nearest_on_family` takes the points of that family nearest the seed.
+    Each waist has an elbow-up and an elbow-down branch. Each joint takes the
+    2π wrap nearest the seed inside its limits (widened by _LIMIT_SLACK, then
+    clipped), and a row with a joint that no wrap fits is dropped. Rows are not
+    checked against the target: an unreachable target still yields rows.
     """
     h, l1, l2, d = chain.closed_form_layout
     R = target.R
@@ -334,9 +334,9 @@ def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.nda
 def _nearest_on_family(chain: KinematicChain, rows: np.ndarray, seed: np.ndarray,
                        s: float) -> np.ndarray:
     """`rows` (all at the seed's waist) moved in (waist, roll) onto the family that
-    keeps waist - s·roll modulo 2π, at its points nearest the seed: the
-    projection of the seed onto the nearest line of the family and onto its two
-    2π neighbours, each moved along its line into the joint limits."""
+    keeps waist - s·roll modulo 2π (s = sin(pitch) = ±1), at the points nearest
+    the seed: the seed's projection onto the family's nearest line and onto its
+    two 2π neighbours, each moved along its line into the joint limits."""
     e = ((s * (rows[0, 4] - seed[4]) + math.pi) % TWO_PI - math.pi
          + TWO_PI * np.array([-1.0, 0.0, 1.0]))
     waist, roll = seed[0] - e / 2.0, seed[4] + s * e / 2.0

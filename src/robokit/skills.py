@@ -161,8 +161,8 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     deterministic for a fixed input order; a border point reachable from two
     clusters keeps the first.
 
-    Each cluster grows a frontier at a time: the unlabeled neighbors of the
-    frontier's core points form the next frontier. Neighborhoods come from a
+    Each cluster grows a frontier at a time: the neighbors of the frontier's
+    core points that are not yet in the cluster form the next frontier. Neighborhoods come from a
     dense pairwise-distance matrix (O(N^2) memory): fine for filtered
     skill-scale clouds, not for raw full-frame clouds.
     """
