@@ -261,6 +261,29 @@ def _in_image(xc, yc, zc, intrinsics: CameraIntrinsics, pad: float = 0.0) -> np.
     return (u >= -pad) & (u < intrinsics.width + pad) & (v >= -pad) & (v < intrinsics.height + pad)
 
 
+def _azimuth_sector(camera_pose: SE3, intrinsics: CameraIntrinsics,
+                    pad: float) -> tuple[float, float] | None:
+    """(lo, hi), lo in [0, 2π), bounding the azimuths of every ray through the image
+    widened by `pad` px, or None when those rays span every azimuth.
+
+    The rays form the cone spanned by the four corner rays, so their horizontal
+    directions form the 2D cone spanned by the corners' horizontal directions:
+    the circle minus its largest gap when that gap exceeds π.
+    """
+    u = (np.array([-pad, intrinsics.width + pad]) - intrinsics.cx) / intrinsics.fx
+    v = (np.array([-pad, intrinsics.height + pad]) - intrinsics.cy) / intrinsics.fy
+    rays = np.array([(a, b, 1.0) for a in u for b in v]) @ camera_pose.R.T
+    if np.any(np.hypot(rays[:, 0], rays[:, 1]) < 1e-9):
+        return None
+    az = np.sort(np.arctan2(rays[:, 1], rays[:, 0]))
+    gaps = np.diff(az, append=az[0] + 2 * math.pi)
+    i = int(np.argmax(gaps))
+    if gaps[i] <= math.pi:
+        return None
+    lo = az[(i + 1) % len(az)] % (2 * math.pi)
+    return lo, lo + 2 * math.pi - gaps[i]
+
+
 def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrinsics,
                        density: float = 20000.0, depth_sigma: float = 0.0,
                        rng: np.random.Generator | None = None,
@@ -273,9 +296,9 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     points first. Object-vs-object occlusion is not modeled.
 
     The floor is drawn over the whole range disk, whatever the camera sees, so
-    the random stream stays fixed; its samples are then culled to the frustum
-    before the exact projection. A render with no point in view returns a
-    (0, 3) cloud and no tags.
+    the random stream stays fixed; its samples are then culled, by azimuth and
+    then to the frustum, before the exact projection. A render with no point
+    in view returns a (0, 3) cloud and no tags.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -294,6 +317,12 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     if n_floor:
         rad = max_range * np.sqrt(rng.uniform(0.0, 1.0, n_floor))
         ang = rng.uniform(0.0, 2 * math.pi, n_floor)
+        # a floor sample seen from the camera lies at the azimuth of its view ray
+        sector = _azimuth_sector(camera_pose, intrinsics, pad=1.0)
+        if sector is not None:
+            lo, hi = sector
+            seen = (ang >= lo) & (ang <= hi) | (ang <= hi - 2 * math.pi)
+            rad, ang = rad[seen], ang[seen]
         fx_ = cam_pos[0] + rad * np.cos(ang)
         fy_ = cam_pos[1] + rad * np.sin(ang)
         # on z = 0 the camera frame is affine in (x, y), and the floor faces +z. The

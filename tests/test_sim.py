@@ -295,7 +295,7 @@ def render_cases(draw):
     # some within 5 cm of the floor, where floor points sit near the 1 cm depth bound
     cam_xyz = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
                draw(st.one_of(st.floats(-0.3, 1.2), st.floats(0.0, 0.05))))
-    pitch = draw(st.one_of(_angle, st.floats(0.2, 1.4)))   # half of them look down
+    pitch = draw(st.one_of(_angle, st.floats(0.2, math.pi / 2)))   # half of them look down
     cam = SE3(cam_xyz, _rotation(draw(_angle), pitch, draw(_angle)) @ OPTICAL)
     scene = Scene(objects=draw(st.lists(scene_objects(), max_size=3)),
                   floor_radius=draw(st.floats(0.001, 3.0)))
