@@ -209,8 +209,8 @@ def test_render_determinism():
 
 def reference_render_point_cloud(scene, camera_pose, intrinsics, density=20000.0,
                                  depth_sigma=0.0, rng=None, max_range=1.5):
-    """The renderer before the floor cull, verbatim: it stacks, transforms and projects
-    every floor sample (the oracle for byte equality)."""
+    """The renderer without the floor culls, kept verbatim as the byte-equality oracle:
+    it stacks, transforms and projects every floor sample."""
     if density <= 0:
         raise ValueError("density must be positive")
     rng = rng or np.random.default_rng(3)
