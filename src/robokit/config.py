@@ -33,17 +33,16 @@ SCHEMA_VERSION = 1
 SUBSYSTEMS = ("arm", "base", "camera", "gripper")
 
 # fields held in radians; their YAML key is the field name plus "_deg"
-_DEGREES = {"bearing_threshold", "heading_threshold", "heading_tolerance"}
+_DEGREES = {"bearing_threshold", "heading_tolerance"}
 # fields that must be strictly positive, in whichever section they appear; a
 # vector field (the LQR control weights `r`) entry by entry
 _POSITIVE = {
     "v_max", "omega_max", "a_max", "alpha_max", "dt", "position_tolerance",
-    "heading_tolerance", "timeout", "kp_lin", "kp_ang", "bearing_threshold",
-    "distance_threshold", "heading_threshold", "qf_scale", "samples_v", "samples_omega",
-    "horizon", "fx", "fy", "width", "height", "max_range", "density", "dbscan_eps",
-    "dbscan_min_pts", "pregrasp_height", "grasp_height", "pre_push_height", "push_height",
-    "tracking_speed", "orientation_tolerance", "max_iterations", "damping", "step_clamp",
-    "floor_radius", "r",
+    "heading_tolerance", "timeout", "kp_lin", "kp_ang", "bearing_threshold", "qf_scale",
+    "samples_v", "samples_omega", "horizon", "fx", "fy", "width", "height", "max_range",
+    "density", "dbscan_eps", "dbscan_min_pts", "pregrasp_height", "grasp_height",
+    "pre_push_height", "push_height", "tracking_speed", "orientation_tolerance",
+    "max_iterations", "damping", "step_clamp", "floor_radius", "r",
 }
 # vector fields whose entries must be >= 0: the LQR state weights and the arm's
 # settling noise

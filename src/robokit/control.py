@@ -61,32 +61,6 @@ def euler_step(state: Pose2D, cmd: ControlCommand, dt: float) -> Pose2D:
                   state.theta + dt * cmd.omega)
 
 
-@dataclass(frozen=True)
-class CostWeights:
-    """Quadratic tracking cost: Q (3x3 state, PSD), R (2x2 control, PD), Qf (terminal, PSD)."""
-
-    Q: np.ndarray
-    R: np.ndarray
-    Qf: np.ndarray
-
-    @staticmethod
-    def from_diagonals(q, r, qf_scale: float = 10.0) -> "CostWeights":
-        Q = np.diag(np.asarray(q, dtype=float))
-        return CostWeights(Q=Q, R=np.diag(np.asarray(r, dtype=float)), Qf=qf_scale * Q)
-
-    def __post_init__(self):
-        for name, m in (("Q", self.Q), ("R", self.R), ("Qf", self.Qf)):
-            m = np.asarray(m, dtype=float)
-            if not np.allclose(m, m.T):
-                raise ValueError(f"CostWeights.{name} must be symmetric")
-            eig = np.linalg.eigvalsh(m)
-            if name == "R":
-                if eig[0] <= 0:
-                    raise ValueError("CostWeights.R must be positive definite")
-            elif eig[0] < -1e-12:
-                raise ValueError(f"CostWeights.{name} must be positive semidefinite")
-
-
 def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
     """Finite-horizon discrete Riccati recursion; returns gains K_t, one per step.
 
@@ -111,9 +85,10 @@ def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
     return K
 
 
-def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> np.ndarray:
-    """Linearize along the reference and run the Riccati recursion; one 2x3 gain per
-    control (u = u_ref - K e convention)."""
+def lqr_backward_pass(traj: TimedTrajectory, params: LqrParams) -> np.ndarray:
+    """Linearize along the reference and run the Riccati recursion with Q = diag(q),
+    R = diag(r) and Qf = qf_scale * Q; one 2x3 gain per control (u = u_ref - K e
+    convention)."""
     if len(traj.states) < 2:
         raise ControlError("LQR needs a trajectory with at least 2 states")
     A_seq, B_seq = [], []
@@ -121,20 +96,23 @@ def lqr_backward_pass(traj: TimedTrajectory, weights: CostWeights) -> np.ndarray
         A, B = linearize_dynamics(traj.state(k), traj.control(k), traj.dt)
         A_seq.append(A)
         B_seq.append(B)
-    return riccati_gains(A_seq, B_seq, weights.Q, weights.R, weights.Qf)
+    Q = np.diag(np.asarray(params.q, dtype=float))
+    return riccati_gains(A_seq, B_seq, Q, np.diag(np.asarray(params.r, dtype=float)),
+                         params.qf_scale * Q)
 
 
 @dataclass(frozen=True)
 class LqrParams:
-    """Diagonal tracking-cost weights plus the reference generator choice."""
+    """Diagonal tracking-cost weights (each q >= 0, each r > 0, qf_scale > 0) and reference."""
 
     q: tuple = (5.0, 5.0, 1.0)
     r: tuple = (1.0, 0.5)
     qf_scale: float = 10.0
     trajectory: str = "sharp"
 
-    def weights(self) -> CostWeights:
-        return CostWeights.from_diagonals(self.q, self.r, self.qf_scale)
+    def __post_init__(self):
+        if not (min(self.q) >= 0 and min(self.r) > 0 and self.qf_scale > 0):
+            raise ValueError("LqrParams needs every q >= 0, every r > 0 and qf_scale > 0")
 
 
 def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:
@@ -159,8 +137,6 @@ class ProportionalParams:
     kp_lin: float = 1.0
     kp_ang: float = 3.0
     bearing_threshold: float = math.radians(2.0)
-    distance_threshold: float = 0.005
-    heading_threshold: float = math.radians(0.5)
 
 
 ALIGN, DRIVE, FINAL_ROTATE, DONE = "align", "drive", "final-rotate", "done"
@@ -168,17 +144,18 @@ ALIGN, DRIVE, FINAL_ROTATE, DONE = "align", "drive", "final-rotate", "done"
 
 def proportional_step(state: Pose2D, goal: Pose2D, phase: str,
                       params: ProportionalParams, limits: VelocityLimits,
-                      ) -> tuple[ControlCommand, str]:
+                      tol: tuple[float, float]) -> tuple[ControlCommand, str]:
     """One decision of the rotate/drive/rotate phase machine (not rate-limited).
 
-    Phases advance when their error drops below threshold; transitions cascade
+    Align ends within `params.bearing_threshold`; drive and final-rotate end on
+    the motion's tolerance `tol` = (position m, heading rad). Transitions cascade
     within one call so a phase entered with zero error emits the next phase's
     command immediately.
     """
     dist = math.hypot(goal.x - state.x, goal.y - state.y)
     err = angle_diff(math.atan2(goal.y - state.y, goal.x - state.x), state.theta)
     if phase == ALIGN:
-        if dist <= params.distance_threshold:
+        if dist <= tol[0]:
             phase = FINAL_ROTATE
         elif abs(err) <= params.bearing_threshold:
             phase = DRIVE
@@ -187,14 +164,14 @@ def proportional_step(state: Pose2D, goal: Pose2D, phase: str,
                     .clamped(limits.v_max, limits.omega_max), phase)
     if phase == DRIVE:
         along = dist * math.cos(err)
-        if dist <= params.distance_threshold or along <= 0.0:
+        if dist <= tol[0] or along <= 0.0:
             phase = FINAL_ROTATE
         else:
             return (ControlCommand(params.kp_lin * along, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
     if phase == FINAL_ROTATE:
         err = angle_diff(goal.theta, state.theta)
-        if abs(err) > params.heading_threshold:
+        if abs(err) > tol[1]:
             return (ControlCommand(0.0, params.kp_ang * err)
                     .clamped(limits.v_max, limits.omega_max), phase)
     return ControlCommand(0.0, 0.0), DONE
@@ -324,7 +301,7 @@ def proportional_law(start, goal, params, limits, dt, tol, grid) -> Law:
 
     def law(k, pose, current):
         nonlocal phase
-        cmd, phase = proportional_step(pose, goal, phase, params, limits)
+        cmd, phase = proportional_step(pose, goal, phase, params, limits, tol)
         return "" if phase == DONE else cmd
     return law
 
@@ -334,7 +311,7 @@ def lqr_law(start, goal, params, limits, dt, tol, grid) -> Law:
     gen = (generate_smooth_trajectory if params.trajectory == "smooth"
            else generate_sharp_trajectory)
     traj = gen(start, goal, limits, dt)
-    gains = lqr_backward_pass(traj, params.weights()) if traj.horizon > 0 else None
+    gains = lqr_backward_pass(traj, params) if traj.horizon > 0 else None
     k_final = _K_HOLD if gains is None else gains[-1]
 
     def law(k, pose, current):
@@ -365,7 +342,7 @@ def dwa_law(start, goal, params, limits, dt, tol, grid) -> Law:
 
 
 def lqr_tracking_law(traj, params, limits) -> Law:
-    gains = lqr_backward_pass(traj, params.weights()) if traj.horizon > 0 else None
+    gains = lqr_backward_pass(traj, params) if traj.horizon > 0 else None
 
     def law(k, pose, current):
         return lqr_track_step(pose, k, traj, gains, limits) if k < traj.horizon else ""

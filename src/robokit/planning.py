@@ -101,8 +101,11 @@ class OccupancyGrid:
         Derived fields (this mask, for the last radius asked, and the clearance
         field) are cached per grid, returned read-only, and recomputed on the
         next call after any change to `cells`, whether by `set_box` or a direct write.
+        A radius past the grid's diagonal gives the same mask as the diagonal.
         """
-        r = int(math.ceil(radius / self.resolution - 1e-9))
+        if not (math.isfinite(radius) and radius >= 0):
+            raise ValueError(f"inflation radius must be finite and >= 0, got {radius}")
+        r = math.ceil(min(radius / self.resolution - 1e-9, math.hypot(self.width, self.height)))
         return self._derived("inflate", r, lambda: self._dilate(r))
 
     def _dilate(self, r: int) -> np.ndarray:

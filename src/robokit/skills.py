@@ -32,6 +32,9 @@ class ImageGrasp:
     depth: float
 
     def validate(self, intrinsics: CameraIntrinsics) -> None:
+        for name, value in (("angle", self.angle), ("depth", self.depth)):
+            if not math.isfinite(value):
+                raise ValueError(f"grasp {name} must be finite, got {value}")
         if self.depth <= 0:
             raise ValueError("grasp depth must be positive")
         if not (0 <= self.u < intrinsics.width and 0 <= self.v < intrinsics.height):
@@ -40,8 +43,8 @@ class ImageGrasp:
 
 @dataclass(frozen=True)
 class DbscanParams:
-    eps: float = 0.03
-    min_pts: int = 10
+    eps: float
+    min_pts: int
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -120,30 +123,23 @@ def _run_phases(robot: Robot, phases) -> tuple[MotionResult, dict]:
                         joints=robot.arm.joint_positions, ee_pose=robot.arm.ee_pose), moves
 
 
-def execute_grasp(robot: Robot, position, roll: float,
-                  pregrasp_height: float | None = None,
-                  grasp_height: float | None = None) -> MotionResult:
+def execute_grasp(robot: Robot, position, roll: float) -> MotionResult:
     """Top-down grasp: hover at the pre-grasp height, descend, close the gripper.
 
-    Heights are absolute base-frame z. IK failure aborts with the phase name
-    in the result.
+    The heights are the config's `skills.pregrasp_height` and `skills.grasp_height`,
+    absolute base-frame z. IK failure aborts with the phase name in the result.
     """
     sk = robot.config.skills
-    pregrasp_height = sk.pregrasp_height if pregrasp_height is None else pregrasp_height
-    grasp_height = sk.grasp_height if grasp_height is None else grasp_height
-    if pregrasp_height < grasp_height:
-        raise ValueError("pregrasp_height must be >= grasp_height")
     x, y = float(position[0]), float(position[1])
     return _run_phases(robot, [
-        ("pre_grasp", lambda: robot.arm.set_ee_pose_pitch_roll([x, y, pregrasp_height],
+        ("pre_grasp", lambda: robot.arm.set_ee_pose_pitch_roll([x, y, sk.pregrasp_height],
                                                                math.pi / 2, roll)),
-        ("descend", lambda: robot.arm.move_ee_xyz([0.0, 0.0, grasp_height - pregrasp_height])),
+        ("descend", lambda: robot.arm.move_ee_xyz([0, 0, sk.grasp_height - sk.pregrasp_height])),
         ("close_gripper", lambda: robot.gripper.close()),
     ])[0]
 
 
-def filter_cloud(points: np.ndarray, z_floor: float = 0.02,
-                 max_range: float = 1.0) -> np.ndarray:
+def filter_cloud(points: np.ndarray, z_floor: float, max_range: float) -> np.ndarray:
     """Keep points above the floor threshold and within horizontal range of the base."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
@@ -212,9 +208,8 @@ def _perimeter_point(lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
     return np.array([lo[0], lo[1]])  # degenerate box or s at the wrap-around corner
 
 
-def select_push(clusters: dict[int, np.ndarray], seed: int = 0,
-                push_height: float = 0.13,
-                pre_push_height: float = 0.2) -> PushPlan:
+def select_push(clusters: dict[int, np.ndarray], seed: int = 0, *,
+                push_height: float, pre_push_height: float) -> PushPlan:
     """Pick a cluster uniformly, then a uniform point on its bounding-box perimeter.
 
     The push point is lifted to the push plane; the pre-push point sits

@@ -8,6 +8,7 @@ from robokit.cli import main
 from robokit.config import bundled_config_dir
 
 MAP = str(bundled_config_dir() / "example.grid")
+PLAN = ["plan", "--map", MAP, "--start", "0.5,0.5,0", "--goal", "3.5,2.5,0"]
 
 
 def run_cli(args, tmp_path, label):
@@ -161,10 +162,18 @@ def test_bench_arm_bad_config_value_exits_1_without_traceback(tmp_path):
     (["plan", "--map", "{tmp}", "--start", "0,0,0", "--goal", "1,1,0"], 1, "Is a directory"),
     (["plan", "--map", "{tmp}/rotated.grid", "--start", "0.05,0.05,0", "--goal", "0.15,0.15,0"],
      1, "grid file: line 4: origin theta must be 0"),
+    (PLAN + ["--inflation", "-1"], 1, "inflation radius must be finite and >= 0, got -1"),
+    (PLAN + ["--inflation", "nan"], 1, "inflation radius must be finite and >= 0, got nan"),
+    (PLAN + ["--inflation", "inf"], 1, "inflation radius must be finite and >= 0, got inf"),
+    (PLAN + ["--inflation", "1e300"], 2, "NoPath"),
+    (["demo", "grasp", "--depth", "nan"], 1, "grasp depth must be finite, got nan"),
+    (["demo", "grasp", "--depth", "inf"], 1, "grasp depth must be finite, got inf"),
+    (["demo", "grasp", "--angle", "nan"], 1, "grasp angle must be finite, got nan"),
 ], ids=["missing-map", "missing-robot", "missing-scene", "bad-grid-header", "objects-not-list",
         "nan-pose", "disconnected-goal", "no-clusters", "empty-view", "nan-tilt",
         "inf-radius", "nan-radius",
-        "map-is-directory", "rotated-map"])
+        "map-is-directory", "rotated-map", "negative-inflation", "nan-inflation",
+        "inf-inflation", "huge-inflation", "nan-depth", "inf-depth", "nan-angle"])
 def test_error_exit_codes(tmp_path, capsys, args, code, message):
     from robokit.planning import OccupancyGrid
 

@@ -111,7 +111,6 @@ def test_lqr_zero_state_weight_accepted():
     raw["controllers"]["lqr"]["q"] = [0, 5.0, 0]
     cfg = parse_config(raw)
     assert cfg.controllers["lqr"].q == (0.0, 5.0, 0.0)
-    cfg.controllers["lqr"].weights()   # CostWeights accepts what the config accepts
 
 
 def test_controller_defaults_applied():
@@ -173,12 +172,13 @@ def test_env_config_dir(tmp_path, monkeypatch):
     assert cfg.name == "mybot"
 
 
-def test_pre_push_below_push_rejected():
+@pytest.mark.parametrize("upper", ["pre_push_height", "pregrasp_height"], ids=["push", "grasp"])
+def test_pre_push_below_push_rejected(upper):
     raw = locobot_raw()
-    raw["skills"]["pre_push_height"] = 0.05
+    raw["skills"][upper] = 0.05
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
-    assert "pre_push" in exc.value.key
+    assert exc.value.key == f"skills.{upper}"
 
 
 @pytest.mark.parametrize("path, value", [
@@ -209,3 +209,34 @@ def test_malformed_value_names_exact_key(path, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     assert exc.value.key == path
+
+
+def test_formats_doc_example_lists_every_setting():
+    # the robot-config example in docs/formats.md is a valid config (unknown keys
+    # are rejected) and names every field of every settings dataclass, so the doc
+    # cannot keep a deleted setting or miss a new one
+    from dataclasses import fields, is_dataclass
+    from pathlib import Path
+
+    from robokit.config import (BaseSettings, BenchmarkSettings, CameraSettings, SkillSettings,
+                                _Frames, _key)
+    from robokit.control import CONTROLLERS
+    from robokit.kinematics import IkParams
+    from robokit.sim import ArmNoiseModel, BaseNoiseModel, CameraIntrinsics
+
+    doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    section = doc[doc.index("## Robot config"):]
+    raw = yaml.safe_load(section[section.index("```yaml") + 7:section.index("```\n")])
+    parse_config(raw)
+    settings = {"frames": _Frames, "arm.ik": IkParams, "base": BaseSettings,
+                "camera": CameraSettings, "camera.intrinsics": CameraIntrinsics,
+                "noise.base": BaseNoiseModel, "noise.arm": ArmNoiseModel,
+                "skills": SkillSettings, "benchmark": BenchmarkSettings,
+                **{f"controllers.{name}": c.params for name, c in CONTROLLERS.items()}}
+    for path, cls in settings.items():
+        node = raw
+        for part in path.split("."):
+            node = node[part]
+        keys = [_key(g.name) for f in fields(cls)
+                for g in (fields(f.default_factory) if is_dataclass(f.default_factory) else [f])]
+        assert set(keys) <= set(node), f"{path} lacks {sorted(set(keys) - set(node))}"

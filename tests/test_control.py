@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, CostWeights,
-                             DwaParams, ProportionalParams, dwa_scores, dwa_step, dwa_window,
+from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, DwaParams,
+                             LqrParams, ProportionalParams, dwa_scores, dwa_step, dwa_window,
                              euler_step, linearize_dynamics, lqr_backward_pass, lqr_track_step,
                              proportional_step, riccati_gains, tracking_error)
 from robokit.geometry import Pose2D
@@ -93,18 +93,15 @@ def test_riccati_scalar_golden_ratio():
 
 def test_riccati_zero_cost_zero_gain():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0, 0), LIMITS, DT)
-    weights = CostWeights(Q=np.zeros((3, 3)), R=np.eye(2), Qf=np.zeros((3, 3)))
-    gains = lqr_backward_pass(traj, weights)
+    gains = lqr_backward_pass(traj, LqrParams(q=(0.0, 0.0, 0.0), r=(1.0, 1.0)))
     assert np.max(np.abs(gains)) == 0.0
 
 
 def test_riccati_uniform_scaling_invariance():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0.5, 0.3), LIMITS, DT)
-    w1 = CostWeights.from_diagonals([5, 5, 1], [1, 0.5])
     c = 3.7
-    w2 = CostWeights(Q=c * w1.Q, R=c * w1.R, Qf=c * w1.Qf)
-    g1 = lqr_backward_pass(traj, w1)
-    g2 = lqr_backward_pass(traj, w2)
+    g1 = lqr_backward_pass(traj, LqrParams(q=(5, 5, 1), r=(1, 0.5)))
+    g2 = lqr_backward_pass(traj, LqrParams(q=(5 * c, 5 * c, c), r=(c, 0.5 * c)))
     assert np.max(np.abs(g1 - g2)) < 1e-10
 
 
@@ -142,11 +139,12 @@ def test_lqr_beats_random_linear_policies():
     assert optimal <= cost.min() + 1e-9
 
 
-def test_cost_weights_validation():
-    with pytest.raises(ValueError):
-        CostWeights(Q=np.eye(3), R=np.zeros((2, 2)), Qf=np.eye(3))
-    with pytest.raises(ValueError):
-        CostWeights(Q=-np.eye(3), R=np.eye(2), Qf=np.eye(3))
+def test_lqr_params_validation():
+    for bad in ({"r": (1.0, 0.0)}, {"r": (0.0, 0.5)}, {"q": (5.0, -1e-9, 1.0)},
+                {"qf_scale": 0.0}):
+        with pytest.raises(ValueError, match="LqrParams"):
+            LqrParams(**bad)
+    LqrParams(q=(0.0, 5.0, 0.0))   # a zero state weight is allowed
 
 
 # --- tracking step -----------------------------------------------------------
@@ -154,8 +152,7 @@ def test_cost_weights_validation():
 
 def _tracking_setup():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(2, 0, 0), LIMITS, DT)
-    weights = CostWeights.from_diagonals([5, 5, 1], [1, 0.5])
-    return traj, lqr_backward_pass(traj, weights)
+    return traj, lqr_backward_pass(traj, LqrParams())
 
 
 def test_lqr_track_step_zero_error_returns_feedforward():
@@ -192,24 +189,26 @@ def test_tracking_error_wraps_heading():
 
 
 PARAMS = ProportionalParams()
+TOL = (0.005, math.radians(0.5))
 
 
 def test_proportional_zero_bearing_goes_straight_to_drive():
-    cmd, phase = proportional_step(Pose2D(), Pose2D(2, 0, 0), ALIGN, PARAMS, LIMITS)
+    cmd, phase = proportional_step(Pose2D(), Pose2D(2, 0, 0), ALIGN, PARAMS, LIMITS, TOL)
     assert phase == DRIVE
     assert cmd.v > 0.0
     assert cmd.omega == 0.0
 
 
 def test_proportional_pure_rotation_skips_to_final():
-    cmd, phase = proportional_step(Pose2D(), Pose2D(0, 0, math.pi / 2), ALIGN, PARAMS, LIMITS)
+    cmd, phase = proportional_step(Pose2D(), Pose2D(0, 0, math.pi / 2), ALIGN, PARAMS, LIMITS,
+                                   TOL)
     assert phase == FINAL_ROTATE
     assert cmd.v == 0.0
     assert cmd.omega > 0.0
 
 
 def test_proportional_done_when_converged():
-    cmd, phase = proportional_step(Pose2D(), Pose2D(0, 0, 0), ALIGN, PARAMS, LIMITS)
+    cmd, phase = proportional_step(Pose2D(), Pose2D(0, 0, 0), ALIGN, PARAMS, LIMITS, TOL)
     assert phase == DONE
     assert cmd.v == 0.0 and cmd.omega == 0.0
 

@@ -339,6 +339,20 @@ def test_plan_global_sees_wall_written_after_a_query():
         assert line_of_sight(blocked, g, a, b)
 
 
+def test_inflate_caps_the_radius_at_the_diagonal():
+    # a disk past the grid's diagonal reaches no further cell, so 1e300 m gives the
+    # capped mask at once: every cell is blocked once any one is
+    g = OccupancyGrid.empty(12, 7, 0.1)
+    g.cells[2, 5] = 1
+    huge = g.inflate(1e300)
+    assert np.array_equal(huge, g._dilate(math.ceil(math.hypot(12, 7))))
+    assert huge.all()
+    assert not g.inflate(0.3).all()
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="inflation radius"):
+            g.inflate(bad)
+
+
 def test_derived_fields_are_read_only():
     g = OccupancyGrid.empty(10, 10, 0.1)
     for field in (g.inflate(0.0), g.inflate(0.2), g.clearance_field()):

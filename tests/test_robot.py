@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def test_zero_noise_reaches_target(locobot_cfg, controller, tol_mm, tol_deg):
     assert 1000 * planar_distance(res.true_pose, target) <= tol_mm
     assert math.degrees(abs(angle_diff(res.true_pose.theta, target.theta))) <= tol_deg
     assert res.elapsed < 60.0
+
+
+@pytest.mark.parametrize("tol_m", [0.001, 0.005, 0.02])
+def test_proportional_stops_on_the_base_tolerance(locobot_cfg, tol_m):
+    # the phase machine ends on base.position_tolerance, whatever its value
+    cfg = replace(locobot_cfg, base=replace(locobot_cfg.base, position_tolerance=tol_m))
+    target = Pose2D(1.0, 0.5, 0.3)
+    res = fresh_robot(cfg).base.go_to_absolute(target, "proportional")
+    assert res.reached and res.detail == ""
+    assert planar_distance(res.true_pose, target) <= tol_m
+    assert abs(angle_diff(res.true_pose.theta, target.theta)) <= cfg.base.heading_tolerance
 
 
 def test_go_to_relative_matches_composition(locobot_cfg):

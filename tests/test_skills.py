@@ -108,12 +108,6 @@ def test_execute_push_sweep_out_of_reach_aborts_at_push(locobot_cfg):
     assert res.path == [] and res.displacement is None
 
 
-def test_execute_grasp_height_ordering(locobot_cfg):
-    bot = zero_noise_robot(locobot_cfg)
-    with pytest.raises(ValueError):
-        execute_grasp(bot, [0.3, 0.0, 0.0], roll=0.0, pregrasp_height=0.1, grasp_height=0.2)
-
-
 # --- cloud filtering --------------------------------------------------------------
 
 
@@ -330,6 +324,9 @@ def test_dbscan_border_point_keeps_first_cluster():
 # --- push planning ----------------------------------------------------------------
 
 
+HEIGHTS = {"push_height": 0.13, "pre_push_height": 0.2}
+
+
 def square_cluster():
     xs, ys = np.meshgrid(np.linspace(0.3, 0.4, 11), np.linspace(-0.05, 0.05, 11))
     return {0: np.column_stack([xs.ravel(), ys.ravel()])}
@@ -337,7 +334,7 @@ def square_cluster():
 
 def test_select_push_point_on_perimeter():
     clusters = square_cluster()
-    plan = select_push(clusters, seed=1, push_height=0.13, pre_push_height=0.2)
+    plan = select_push(clusters, seed=1, **HEIGHTS)
     x, y, z = plan.push_pt
     assert z == 0.13
     on_x_edge = (abs(x - 0.3) < 1e-12 or abs(x - 0.4) < 1e-12) and -0.05 <= y <= 0.05
@@ -349,15 +346,15 @@ def test_select_push_point_on_perimeter():
 
 def test_select_push_deterministic():
     clusters = square_cluster()
-    a = select_push(clusters, seed=42)
-    b = select_push(clusters, seed=42)
+    a = select_push(clusters, seed=42, **HEIGHTS)
+    b = select_push(clusters, seed=42, **HEIGHTS)
     np.testing.assert_array_equal(a.push_pt, b.push_pt)
     np.testing.assert_array_equal(a.pre_push_pt, b.pre_push_pt)
 
 
 def test_select_push_no_clusters():
     with pytest.raises(NoClustersError):
-        select_push({}, seed=0)
+        select_push({}, seed=0, **HEIGHTS)
 
 
 def test_select_push_perimeter_uniformity():
@@ -367,7 +364,7 @@ def test_select_push_perimeter_uniformity():
     counts = {"bottom": 0, "right": 0, "top": 0, "left": 0}
     n = 10_000
     for seed in range(n):
-        plan = select_push(clusters, seed=seed)
+        plan = select_push(clusters, seed=seed, **HEIGHTS)
         x, y = plan.push_pt[:2]
         if abs(y) < 1e-12 and x < 0.2:
             counts["bottom"] += 1
