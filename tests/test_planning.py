@@ -348,9 +348,6 @@ def test_inflate_caps_the_radius_at_the_diagonal():
     assert np.array_equal(huge, g._dilate(math.ceil(math.hypot(12, 7))))
     assert huge.all()
     assert not g.inflate(0.3).all()
-    for bad in (-1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError, match="inflation radius"):
-            g.inflate(bad)
 
 
 def test_derived_fields_are_read_only():
