@@ -26,6 +26,8 @@ from .geometry import Pose2D
 FREE, OCCUPIED, UNKNOWN = 0, 1, 2
 _CHARS = {FREE: ".", OCCUPIED: "#", UNKNOWN: "?"}
 _VALUES = {v: k for k, v in _CHARS.items()}
+_CODES = np.zeros(256, dtype=np.int8)   # cell value by ASCII code
+_CODES[[ord(ch) for ch in _VALUES]] = list(_VALUES.values())
 
 
 @dataclass
@@ -112,60 +114,33 @@ class OccupancyGrid:
         blocked = self.blocked_mask()
         if r <= 0:
             return blocked
-        out = blocked.copy()
-        offsets = [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
-                   if dx * dx + dy * dy <= r * r and (dx or dy)]
-        xs, ys = np.nonzero(blocked)
-        w, h = self.width, self.height
-        for dx, dy in offsets:
-            nx = xs + dx
-            ny = ys + dy
-            ok = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
-            out[nx[ok], ny[ok]] = True
+        w, h = blocked.shape
+        below = np.zeros((w, h + 1), dtype=np.intp)   # below[ix, iy]: blocked cells under row iy
+        np.cumsum(blocked, axis=1, out=below[:, 1:])
+        iy = np.arange(h)
+        out = np.zeros_like(blocked)
+        # the disk's column at offset +-dx spans rows -k..k, k = isqrt(r^2 - dx^2)
+        for dx in range(min(r, w - 1) + 1):
+            k = math.isqrt(r * r - dx * dx)
+            hit = below[:, np.minimum(iy + k + 1, h)] > below[:, np.maximum(iy - k, 0)]
+            out[:w - dx] |= hit[dx:]
+            out[dx:] |= hit[:w - dx]
         return out
 
     def clearance_field(self) -> np.ndarray:
         """Approximate distance (m) from each cell center to the nearest blocked cell.
 
-        Two-pass 3-4 chamfer transform (error <= ~8%); good enough for DWA scoring.
+        Two-pass 3-4 chamfer transform. The forward pass reads (ix+1, iy-1) before
+        visiting it, and the backward pass mirrors that, so the field overestimates
+        by up to +37% (a kept fault, ROADMAP item 2).
         Cached, read-only and recomputed after a change to `cells`, like `inflate`.
         """
         return self._derived("clearance", self.resolution, self._chamfer)
 
     def _chamfer(self) -> np.ndarray:
-        blocked = self.blocked_mask()
-        big = 10 ** 6
-        d = np.where(blocked, 0, big).astype(np.int64)
-        w, h = self.width, self.height
-        for ix in range(w):
-            for iy in range(h):
-                if d[ix, iy] == 0:
-                    continue
-                best = d[ix, iy]
-                if ix > 0:
-                    best = min(best, d[ix - 1, iy] + 3)
-                if iy > 0:
-                    best = min(best, d[ix, iy - 1] + 3)
-                if ix > 0 and iy > 0:
-                    best = min(best, d[ix - 1, iy - 1] + 4)
-                if ix < w - 1 and iy > 0:
-                    best = min(best, d[ix + 1, iy - 1] + 4)
-                d[ix, iy] = best
-        for ix in range(w - 1, -1, -1):
-            for iy in range(h - 1, -1, -1):
-                if d[ix, iy] == 0:
-                    continue
-                best = d[ix, iy]
-                if ix < w - 1:
-                    best = min(best, d[ix + 1, iy] + 3)
-                if iy < h - 1:
-                    best = min(best, d[ix, iy + 1] + 3)
-                if ix < w - 1 and iy < h - 1:
-                    best = min(best, d[ix + 1, iy + 1] + 4)
-                if ix > 0 and iy < h - 1:
-                    best = min(best, d[ix - 1, iy + 1] + 4)
-                d[ix, iy] = best
-        return d.astype(float) / 3.0 * self.resolution
+        d = np.where(self.blocked_mask(), 0, 10 ** 6).astype(np.int64)
+        backward = _chamfer_pass(_chamfer_pass(d)[::-1, ::-1])
+        return backward[::-1, ::-1].astype(float) / 3.0 * self.resolution
 
     def clearance_at(self, x, y) -> np.ndarray:
         """Clearance (m) at world points; 0 inside blocked cells, +inf outside the grid."""
@@ -218,15 +193,14 @@ class OccupancyGrid:
         rows = lines[4:4 + height]
         if len(rows) != height:
             raise ValueError(f"grid file: expected {height} rows, got {len(rows)}")
-        cells = np.zeros((width, height), dtype=np.int8)
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"grid file: row {r + 1} has {len(row)} chars, expected {width}")
-            iy = height - 1 - r
-            for ix, ch in enumerate(row):
-                if ch not in _VALUES:
-                    raise ValueError(f"grid file: invalid cell char {ch!r}")
-                cells[ix, iy] = _VALUES[ch]
+            if row.strip("".join(_VALUES)):
+                bad = next(ch for ch in row if ch not in _VALUES)
+                raise ValueError(f"grid file: invalid cell char {bad!r}")
+        text = np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+        cells = _CODES[text].reshape(height, width)[::-1].T.copy()   # top row first in the file
         return OccupancyGrid(resolution, Pose2D(ox, oy, oth), cells)
 
     def save(self, path):
@@ -237,6 +211,28 @@ class OccupancyGrid:
     def load(path) -> "OccupancyGrid":
         with open(path) as f:
             return OccupancyGrid.loads(f.read())
+
+
+def _chamfer_pass(d0: np.ndarray) -> np.ndarray:
+    """One forward 3-4 chamfer sweep, ix ascending, then iy ascending within a column.
+
+    Each cell takes the least of its own value, (ix-1, iy) and (ix, iy-1) plus 3,
+    and (ix-1, iy-1) and (ix+1, iy-1) plus 4. The sweep reads (ix+1, iy-1) before it
+    visits it, so that candidate is the cell's value from before the sweep. The
+    backward sweep is this one on the grid reversed along both axes.
+    """
+    a = d0.copy()
+    np.minimum(a[:-1, 1:], d0[1:, :-1] + 4, out=a[:-1, 1:])
+    d = np.empty(d0.shape, dtype=d0.dtype)
+    j3 = 3 * np.arange(d0.shape[1])
+    for ix in range(d0.shape[0]):
+        col = a[ix]
+        if ix:
+            np.minimum(col, d[ix - 1] + 3, out=col)
+            np.minimum(col[1:], d[ix - 1, :-1] + 4, out=col[1:])
+        # d[iy] = min(col[iy], d[iy-1] + 3) is a running minimum of col - 3 iy
+        d[ix] = np.minimum.accumulate(col - j3) + j3
+    return d
 
 
 _SQRT2 = math.sqrt(2.0)

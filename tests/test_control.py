@@ -144,6 +144,9 @@ def test_lqr_params_validation():
                 {"qf_scale": 0.0}):
         with pytest.raises(ValueError, match="LqrParams"):
             LqrParams(**bad)
+    for bad, field in (({"q": (1.0, 2.0)}, "q"), ({"r": (1.0, 0.5, 1.0)}, "r")):
+        with pytest.raises(ValueError, match=f"^LqrParams.{field} needs"):
+            LqrParams(**bad)
     LqrParams(q=(0.0, 5.0, 0.0))   # a zero state weight is allowed
 
 

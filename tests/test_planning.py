@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from robokit.errors import NoPathError
 from robokit.geometry import Pose2D
-from robokit.planning import OccupancyGrid, astar, line_of_sight, plan_global
+from robokit.planning import UNKNOWN, OccupancyGrid, astar, line_of_sight, plan_global
 
 
 def dijkstra_cost(blocked, start, goal):
@@ -178,6 +178,137 @@ def test_set_box_matches_per_cell_reference(data, blocked, res, origin, value):
     grid.set_box(x0, y0, x1, y1, value)
     reference_set_box(ref, x0, y0, x1, y1, value)
     assert np.array_equal(grid.cells, ref.cells)
+
+
+def reference_chamfer(cells, resolution):
+    """The scalar two-pass 3-4 chamfer, kept fault included: the forward pass reads
+    (ix+1, iy-1) before it visits it, and the backward pass mirrors that."""
+    blocked = cells != 0
+    big = 10 ** 6
+    d = np.where(blocked, 0, big).astype(np.int64)
+    w, h = blocked.shape
+    for ix in range(w):
+        for iy in range(h):
+            if d[ix, iy] == 0:
+                continue
+            best = d[ix, iy]
+            if ix > 0:
+                best = min(best, d[ix - 1, iy] + 3)
+            if iy > 0:
+                best = min(best, d[ix, iy - 1] + 3)
+            if ix > 0 and iy > 0:
+                best = min(best, d[ix - 1, iy - 1] + 4)
+            if ix < w - 1 and iy > 0:
+                best = min(best, d[ix + 1, iy - 1] + 4)
+            d[ix, iy] = best
+    for ix in range(w - 1, -1, -1):
+        for iy in range(h - 1, -1, -1):
+            if d[ix, iy] == 0:
+                continue
+            best = d[ix, iy]
+            if ix < w - 1:
+                best = min(best, d[ix + 1, iy] + 3)
+            if iy < h - 1:
+                best = min(best, d[ix, iy + 1] + 3)
+            if ix < w - 1 and iy < h - 1:
+                best = min(best, d[ix + 1, iy + 1] + 4)
+            if ix > 0 and iy < h - 1:
+                best = min(best, d[ix - 1, iy + 1] + 4)
+            d[ix, iy] = best
+    return d.astype(float) / 3.0 * resolution
+
+
+def reference_dilate(blocked, r):
+    """The offset loop: every blocked cell marks each disk offset dx^2 + dy^2 <= r^2."""
+    if r <= 0:
+        return blocked
+    out = blocked.copy()
+    offsets = [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+               if dx * dx + dy * dy <= r * r and (dx or dy)]
+    xs, ys = np.nonzero(blocked)
+    w, h = blocked.shape
+    for dx, dy in offsets:
+        nx = xs + dx
+        ny = ys + dy
+        ok = (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
+        out[nx[ok], ny[ok]] = True
+    return out
+
+
+def reference_parse_cells(text):
+    """The per-character parser of a valid grid file's rows, top row first."""
+    lines = text.splitlines()
+    width, height = int(lines[0].split()[1]), int(lines[1].split()[1])
+    values = {".": 0, "#": 1, "?": 2}
+    cells = np.zeros((width, height), dtype=np.int8)
+    for r, row in enumerate(lines[4:4 + height]):
+        for ix, ch in enumerate(row):
+            cells[ix, height - 1 - r] = values[ch]
+    return cells
+
+
+@st.composite
+def cell_grids(draw, max_side=30):
+    """int8 cells of any shape from 1x1, strips included, from no blocked cell to all
+    blocked, some of them unknown."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    unknown = draw(st.sampled_from([0.0, 0.0, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = (rng.uniform(size=(w, h)) < density).astype(np.int8)
+    cells[rng.uniform(size=(w, h)) < unknown] = UNKNOWN
+    return cells
+
+
+def _assert_same_array(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.zeros((1, 23), np.int8), 0.1)
+@example(np.eye(19, 1, -7, dtype=np.int8), 0.05)
+@example(np.ones((6, 4), np.int8), 1.0)
+@given(cell_grids(), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]))
+def test_clearance_field_matches_scalar_chamfer(cells, res):
+    """The column scan gives the scalar chamfer's bytes, its overestimate included."""
+    grid = OccupancyGrid(res, Pose2D(), cells)
+    _assert_same_array(grid.clearance_field(), reference_chamfer(cells, res))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), cell_grids(max_side=14))
+def test_dilate_matches_offset_loop(data, cells):
+    """The per-row dilation gives the offset loop's mask, for radii from 0 past the diagonal."""
+    w, h = cells.shape
+    r = data.draw(st.integers(0, math.ceil(math.hypot(w, h)) + 2))
+    grid = OccupancyGrid(0.1, Pose2D(), cells)
+    _assert_same_array(grid._dilate(r), reference_dilate(cells != 0, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_grids(), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+def test_loads_matches_scalar_parser(cells, res, origin):
+    text = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), cells).dumps()
+    grid = OccupancyGrid.loads(text)
+    _assert_same_array(grid.cells, reference_parse_cells(text))
+    assert grid.dumps() == text
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("x.\n.", "invalid cell char 'x'"),
+    (".\nx.", "row 1 has 1 chars"),
+    ("\u00e9.\n..", "invalid cell char '\u00e9'"),
+    (".\u00e9\n..", "invalid cell char '\u00e9'"),
+], ids=["bad-char-before-short-row", "short-row-before-bad-char", "non-ascii-first",
+        "non-ascii-second"])
+def test_grid_file_bad_rows_keep_their_error_order(rows, message):
+    """Rows are checked in file order, each for its length first, then its chars."""
+    with pytest.raises(ValueError, match=f"^grid file: {message}"):
+        OccupancyGrid.loads("width 2\nheight 2\nresolution 0.1\norigin 0 0 0\n" + rows + "\n")
 
 
 def test_grid_rejects_rotated_origin():
