@@ -111,9 +111,9 @@ class LqrParams:
     trajectory: str = "sharp"
 
     def __post_init__(self):
-        for name, n in (("q", 3), ("r", 2)):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"LqrParams.{name} needs {n} weights, got {len(getattr(self, name))}")
+        for name, value, n in (("q", self.q, 3), ("r", self.r, 2)):
+            if len(value) != n:
+                raise ValueError(f"LqrParams.{name} needs {n} weights, got {len(value)}")
         if not (min(self.q) >= 0 and min(self.r) > 0 and self.qf_scale > 0):
             raise ValueError("LqrParams needs every q >= 0, every r > 0 and qf_scale > 0")
 
