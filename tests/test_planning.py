@@ -292,6 +292,7 @@ def test_dilate_matches_offset_loop(data, cells):
 @given(cell_grids(), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
        st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
 def test_loads_matches_scalar_parser(cells, res, origin):
+    """The one-pass parse gives the per-character parser's cells, and the text round-trips."""
     text = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), cells).dumps()
     grid = OccupancyGrid.loads(text)
     _assert_same_array(grid.cells, reference_parse_cells(text))
