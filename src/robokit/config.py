@@ -333,9 +333,9 @@ def bundled_config_dir() -> Path:
 
 
 def resolve_config_path(name_or_path) -> Path:
-    """Resolve a config argument: an existing path wins, then ROBOKIT_CONFIG_DIR, then bundled."""
+    """Resolve a config argument: an existing file wins, then ROBOKIT_CONFIG_DIR, then bundled."""
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return p
     candidates = []
     env = os.environ.get("ROBOKIT_CONFIG_DIR")
@@ -343,15 +343,19 @@ def resolve_config_path(name_or_path) -> Path:
         candidates.append(Path(env) / f"{name_or_path}.yaml")
     candidates.append(bundled_config_dir() / f"{name_or_path}.yaml")
     for c in candidates:
-        if c.exists():
+        if c.is_file():
             return c
     raise FileNotFoundError(f"no config file or bundled config named {name_or_path!r}")
 
 
+# libyaml's scanner and parser when PyYAML has them; the constructors stay PyYAML's
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_yaml(path):
     try:
-        with open(path) as f:
-            return yaml.safe_load(f)
+        with open(path, "rb") as f:  # the YAML reader detects the encoding
+            return yaml.load(f, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"parse error: {exc}") from None
 

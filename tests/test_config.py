@@ -1,17 +1,31 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robokit.config import load_config, load_scene, parse_config, resolve_config_path
+from robokit import config
+from robokit.config import (bundled_config_dir, load_config, load_scene, parse_config,
+                            resolve_config_path)
 from robokit.errors import ConfigError
 
 import yaml
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
 
 def locobot_raw():
     with open(resolve_config_path("locobot")) as f:
         return yaml.safe_load(f)
+
+
+def formats_doc_example():
+    """The robot-config example in docs/formats.md, as YAML text."""
+    doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    section = doc[doc.index("## Robot config"):]
+    return section[section.index("```yaml") + 7:section.index("```\n")]
 
 
 def test_locobot_arm_has_five_joints():
@@ -151,10 +165,32 @@ def test_scene_objects_must_be_a_list(tmp_path, objects):
 
 
 def test_parse_error_is_config_error(tmp_path):
+    # PyYAML and libyaml word the error differently; both name the file, line and column
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: [unclosed\n")
-    with pytest.raises(ConfigError, match="parse error"):
+    with pytest.raises(ConfigError, match="parse error") as exc:
         load_config(bad)
+    assert exc.value.key == str(bad)
+    assert f'in "{bad}", line 1, column' in str(exc.value)
+
+
+@pytest.mark.parametrize("load", [load_config, load_scene], ids=["config", "scene"])
+def test_invalid_utf8_is_config_error(tmp_path, load):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: \xff\xfe bad\n")
+    with pytest.raises(ConfigError, match="parse error") as exc:
+        load(bad)
+    assert exc.value.key == str(bad)
+    assert "position 6" in str(exc.value)
+
+
+def test_directory_does_not_shadow_a_config_name(tmp_path, monkeypatch):
+    (tmp_path / "locobot").mkdir()
+    (tmp_path / "locobot.yaml").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ROBOKIT_CONFIG_DIR", str(tmp_path))
+    assert resolve_config_path("locobot") == bundled_config_dir() / "locobot.yaml"
+    assert load_config("locobot").name == "locobot"
 
 
 def test_missing_config_file():
@@ -216,7 +252,6 @@ def test_formats_doc_example_lists_every_setting():
     # are rejected) and names every field of every settings dataclass, so the doc
     # cannot keep a deleted setting or miss a new one
     from dataclasses import fields, is_dataclass
-    from pathlib import Path
 
     from robokit.config import (BaseSettings, BenchmarkSettings, CameraSettings, SkillSettings,
                                 _Frames, _key)
@@ -224,9 +259,7 @@ def test_formats_doc_example_lists_every_setting():
     from robokit.kinematics import IkParams
     from robokit.sim import ArmNoiseModel, BaseNoiseModel, CameraIntrinsics
 
-    doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
-    section = doc[doc.index("## Robot config"):]
-    raw = yaml.safe_load(section[section.index("```yaml") + 7:section.index("```\n")])
+    raw = yaml.safe_load(formats_doc_example())
     parse_config(raw)
     settings = {"frames": _Frames, "arm.ik": IkParams, "base": BaseSettings,
                 "camera": CameraSettings, "camera.intrinsics": CameraIntrinsics,
@@ -240,3 +273,42 @@ def test_formats_doc_example_lists_every_setting():
         keys = [_key(g.name) for f in fields(cls)
                 for g in (fields(f.default_factory) if is_dataclass(f.default_factory) else [f])]
         assert set(keys) <= set(node), f"{path} lacks {sorted(set(keys) - set(node))}"
+
+
+@pytest.mark.parametrize("name", ["locobot", "locobot_lite", "sawyer_sim", "push_scene", "docs"])
+def test_reader_gives_the_pure_python_documents(tmp_path, name):
+    # repr tells 1 from 1.0 and True, which == does not
+    if name == "docs":
+        path = tmp_path / "example.yaml"
+        path.write_text(formats_doc_example())
+    else:
+        path = bundled_config_dir() / f"{name}.yaml"
+    assert repr(config._read_yaml(path)) == repr(yaml.load(path.read_bytes(), Loader=yaml.SafeLoader))
+
+
+scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text())
+documents = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+@needs_libyaml
+@settings(max_examples=300, deadline=None)
+@given(doc=documents, flow=st.sampled_from([False, True, None]), unicode=st.booleans())
+def test_libyaml_reads_dumped_documents_like_pure_python(doc, flow, unicode):
+    text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=unicode).encode()
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@needs_libyaml
+def test_reader_parses_with_libyaml(monkeypatch):
+    # a reader back on yaml.safe_load parses the bundled config in pure Python, about 4x slower
+    streams = []
+    init = yaml.CSafeLoader.__init__
+
+    def spy(self, stream):
+        streams.append(stream)
+        init(self, stream)
+
+    monkeypatch.setattr(yaml.CSafeLoader, "__init__", spy)
+    assert config._read_yaml(bundled_config_dir() / "locobot.yaml")["name"] == "locobot"
+    assert len(streams) == 1
