@@ -283,7 +283,8 @@ def test_reader_gives_the_pure_python_documents(tmp_path, name):
         path.write_text(formats_doc_example())
     else:
         path = bundled_config_dir() / f"{name}.yaml"
-    assert repr(config._read_yaml(path)) == repr(yaml.load(path.read_bytes(), Loader=yaml.SafeLoader))
+    expected = yaml.load(path.read_bytes(), Loader=yaml.SafeLoader)
+    assert repr(config._read_yaml(path)) == repr(expected)
 
 
 scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text())
@@ -296,7 +297,8 @@ documents = st.recursive(scalars, lambda inner: st.one_of(
 @given(doc=documents, flow=st.sampled_from([False, True, None]), unicode=st.booleans())
 def test_libyaml_reads_dumped_documents_like_pure_python(doc, flow, unicode):
     text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=unicode).encode()
-    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(expected)
 
 
 @needs_libyaml
