@@ -1,4 +1,4 @@
-"""Golden report hashes: every report file of nine fixed CLI runs against a stored sha256.
+"""Golden report hashes: every report file of ten fixed CLI runs against a stored sha256.
 
 Criterion 9 checks that two runs agree with each other; this test checks that
 they agree with the bytes the last commit recorded. A change that alters a
@@ -23,6 +23,8 @@ MANIFEST = Path(__file__).parent / "golden" / "reports.sha256"
 # (output root, CLI arguments); every run adds --seed 7 --label fixed
 COMMANDS = (
     ("base", ["bench", "base", "--controller", "all", "--trials", "1"]),
+    ("base-lite", ["bench", "base", "--robot", "locobot_lite", "--controller", "all",
+                   "--trials", "2"]),
     ("arm-locobot", ["bench", "arm", "--robot", "locobot"]),
     ("arm-locobot_lite", ["bench", "arm", "--robot", "locobot_lite"]),
     ("arm-sawyer_sim", ["bench", "arm", "--robot", "sawyer_sim"]),
