@@ -348,14 +348,31 @@ def resolve_config_path(name_or_path) -> Path:
     raise FileNotFoundError(f"no config file or bundled config named {name_or_path!r}")
 
 
-# libyaml's scanner and parser when PyYAML has them; the constructors stay PyYAML's
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's scanner and parser when PyYAML has them; the constructors stay
+    PyYAML's, except that a mapping that repeats a scalar key is an error (PyYAML
+    keeps the last value without a word)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def _read_yaml(path):
     try:
         with open(path, "rb") as f:  # the YAML reader detects the encoding
-            return yaml.load(f, Loader=_YAML_LOADER)
+            return yaml.load(f, Loader=_YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"parse error: {exc}") from None
 

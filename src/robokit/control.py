@@ -17,6 +17,7 @@ loop that owns the timeout and the rate limiting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ControlError
-from .geometry import Pose2D, angle_diff, planar_distance
+from .geometry import Pose2D, angle_diff, planar_distance, wrap_angle
 from .trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
                          generate_sharp_trajectory, generate_smooth_trajectory)
 
@@ -39,18 +40,24 @@ def linearize_dynamics(ref_state: Pose2D, ref_control: ControlCommand,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    c, s = math.cos(ref_state.theta), math.sin(ref_state.theta)
-    v = ref_control.v
-    A = np.array([
-        [1.0, 0.0, -dt * v * s],
-        [0.0, 1.0, dt * v * c],
-        [0.0, 0.0, 1.0],
-    ])
-    B = np.array([
-        [dt * c, 0.0],
-        [dt * s, 0.0],
-        [0.0, dt],
-    ])
+    A, B = _linearized([ref_state.theta], np.array([ref_control.v], dtype=float), dt)
+    return A[0], B[0]
+
+
+def _linearized(theta, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """`linearize_dynamics` along a reference: (N, 3, 3) A and (N, 3, 2) B stacks for
+    N wrapped headings and forward speeds. The trigonometry is math.cos and
+    math.sin per heading, which np.cos may not match to the last bit."""
+    c = np.array([math.cos(t) for t in theta])
+    s = np.array([math.sin(t) for t in theta])
+    A = np.zeros((len(c), 3, 3))
+    A[:, (0, 1, 2), (0, 1, 2)] = 1.0
+    A[:, 0, 2] = -dt * v * s
+    A[:, 1, 2] = dt * v * c
+    B = np.zeros((len(c), 3, 2))
+    B[:, 0, 0] = dt * c
+    B[:, 1, 0] = dt * s
+    B[:, 2, 1] = dt
     return A, B
 
 
@@ -66,17 +73,20 @@ def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
 
     Convention: u_t = -K_t x_t minimizes sum(x'Qx + u'Ru) + terminal x'Qf x.
     """
+    A_seq = np.asarray(A_seq, dtype=float)
+    B_seq = np.asarray(B_seq, dtype=float)
     N = len(A_seq)
     n = np.asarray(Q).shape[0]
     m = np.asarray(R).shape[0]
     K = np.zeros((N, m, n))
     P = np.asarray(Qf, dtype=float).copy()
     for t in reversed(range(N)):
-        A = np.asarray(A_seq[t], dtype=float)
-        B = np.asarray(B_seq[t], dtype=float)
-        G = R + B.T @ P @ B
+        A = A_seq[t]
+        B = B_seq[t]
+        BtP = B.T @ P
+        G = R + BtP @ B
         try:
-            Kt = np.linalg.solve(G, B.T @ P @ A)
+            Kt = np.linalg.solve(G, BtP @ A)
         except np.linalg.LinAlgError as exc:
             raise ControlError(f"Riccati step {t}: R + B'PB is singular") from exc
         K[t] = Kt
@@ -91,11 +101,10 @@ def lqr_backward_pass(traj: TimedTrajectory, params: LqrParams) -> np.ndarray:
     convention)."""
     if len(traj.states) < 2:
         raise ControlError("LQR needs a trajectory with at least 2 states")
-    A_seq, B_seq = [], []
-    for k in range(traj.horizon):
-        A, B = linearize_dynamics(traj.state(k), traj.control(k), traj.dt)
-        A_seq.append(A)
-        B_seq.append(B)
+    if not np.isfinite(traj.states[:-1]).all():
+        raise ValueError("LQR reference states must be finite")
+    theta = [wrap_angle(t) for t in traj.states[:-1, 2].tolist()]   # as traj.state(k) holds it
+    A_seq, B_seq = _linearized(theta, traj.controls[:, 0], traj.dt)
     Q = np.diag(np.asarray(params.q, dtype=float))
     return riccati_gains(A_seq, B_seq, Q, np.diag(np.asarray(params.r, dtype=float)),
                          params.qf_scale * Q)
@@ -114,7 +123,8 @@ class LqrParams:
         for name, value, n in (("q", self.q, 3), ("r", self.r, 2)):
             if len(value) != n:
                 raise ValueError(f"LqrParams.{name} needs {n} weights, got {len(value)}")
-        if not (min(self.q) >= 0 and min(self.r) > 0 and self.qf_scale > 0):
+        if not (all(w >= 0 for w in self.q) and all(w > 0 for w in self.r)
+                and self.qf_scale > 0):
             raise ValueError("LqrParams needs every q >= 0, every r > 0 and qf_scale > 0")
 
 
@@ -207,10 +217,43 @@ def dwa_window(current: ControlCommand, limits: VelocityLimits, dt: float,
     v_hi = min(limits.v_max, current.v + limits.a_max * dt)
     w_lo = max(-limits.omega_max, current.omega - limits.alpha_max * dt)
     w_hi = min(limits.omega_max, current.omega + limits.alpha_max * dt)
-    v = np.linspace(v_lo, v_hi, params.samples_v)
-    w = np.linspace(w_lo, w_hi, params.samples_omega)
-    vv, ww = np.meshgrid(v, w, indexing="ij")
-    return vv.ravel(), ww.ravel()
+    v = _linspace(v_lo, v_hi, params.samples_v)
+    w = _linspace(w_lo, w_hi, params.samples_omega)
+    iv, iw = _grid_index(len(v), len(w))   # meshgrid(v, w, indexing="ij"), raveled
+    return v[iv], w[iw]
+
+
+@functools.lru_cache(maxsize=8)
+def _arange(num: int) -> np.ndarray:
+    a = np.arange(0, num, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_index(nv: int, nw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of each entry of an (nv, nw) grid, in C order."""
+    iv, iw = np.divmod(np.arange(nv * nw), nw)
+    iv.flags.writeable = iw.flags.writeable = False
+    return iv, iw
+
+
+def _linspace(lo: float, hi: float, num: int) -> np.ndarray:
+    """np.linspace(lo, hi, num) for float bounds: its own arithmetic, step by step,
+    on a cached arange, without its per-call conversions."""
+    y = _arange(num)
+    div = num - 1
+    delta = hi - lo
+    if div <= 0:
+        return y * delta + lo
+    step = delta / div
+    if step == 0:   # linspace's branch for a step that underflows
+        y = y / div * delta
+    else:
+        y = y * step
+    y += lo
+    y[-1] = hi
+    return y
 
 
 def _rollout_endpoints(state: Pose2D, v: np.ndarray, w: np.ndarray, horizon: float | np.ndarray,
@@ -218,13 +261,12 @@ def _rollout_endpoints(state: Pose2D, v: np.ndarray, w: np.ndarray, horizon: flo
     """Closed-form endpoint of holding (v, w) constant for `horizon` seconds; an
     (n, 1) column of horizons gives one row of endpoints per horizon."""
     th0 = state.theta
+    c0, s0 = np.cos(th0), np.sin(th0)
     th1 = th0 + w * horizon
     small = np.abs(w) < 1e-9
     ws = np.where(small, 1.0, w)
-    x = state.x + np.where(small, v * horizon * np.cos(th0),
-                           v / ws * (np.sin(th1) - np.sin(th0)))
-    y = state.y + np.where(small, v * horizon * np.sin(th0),
-                           -v / ws * (np.cos(th1) - np.cos(th0)))
+    x = state.x + np.where(small, v * horizon * c0, v / ws * (np.sin(th1) - s0))
+    y = state.y + np.where(small, v * horizon * s0, -v / ws * (np.cos(th1) - c0))
     return x, y, th1
 
 
@@ -246,7 +288,8 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
     sy = y + brake * np.sin(th)
     d_stop = np.hypot(goal.x - sx, goal.y - sy)
     bearing = np.arctan2(goal.y - y, goal.x - x)
-    herr = np.abs(np.arctan2(np.sin(bearing - th), np.cos(bearing - th)))
+    turn = bearing - th
+    herr = np.abs(np.arctan2(np.sin(turn), np.cos(turn)))
 
     score = (params.weight_heading * (1.0 - herr / math.pi)
              + params.weight_distance / (d_stop + 0.05)

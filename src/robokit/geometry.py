@@ -28,7 +28,7 @@ def angle_diff(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose2D:
     """Planar pose [x, y, theta] in meters/radians; theta normalized to (-pi, pi].
     A NaN or infinite field raises ValueError."""
@@ -37,13 +37,13 @@ class Pose2D:
     y: float = 0.0
     theta: float = 0.0
 
-    def __post_init__(self):
-        x, y, theta = float(self.x), float(self.y), float(self.theta)
+    # written by hand: the base's control loop builds several poses per step, and
+    # one dict update costs far less than a frozen dataclass's per-field setattr
+    def __init__(self, x: float = 0.0, y: float = 0.0, theta: float = 0.0):
+        x, y, theta = float(x), float(y), float(theta)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
             raise ValueError(f"Pose2D fields must be finite, got ({x}, {y}, {theta})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "theta", wrap_angle(theta))
+        self.__dict__.update(x=x, y=y, theta=wrap_angle(theta))
 
     def compose(self, rel: "Pose2D") -> "Pose2D":
         """SE(2) composition: `rel` expressed in this pose's frame, returned in the world frame."""

@@ -39,7 +39,7 @@ class OccupancyGrid:
     cells: np.ndarray
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError("resolution must be positive")
         if self.origin.theta != 0:
             raise ValueError(f"origin theta must be 0 (rotated grids are not supported), "

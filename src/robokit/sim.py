@@ -9,6 +9,12 @@ function of (initial state, command sequence, seed).
 
 The base integrates constant-twist arcs in closed form — controller-vs-
 simulator discrepancies reflect the controller, not integration error.
+
+The base draws its actuation and odometry normals in blocks of `_NOISE_BLOCK`
+steps, one block per stream at a time: k calls of `standard_normal(2)` give the
+same values as one `standard_normal(2k)`, so every step sees the draws it saw
+one pair at a time. A block leaves its stream ahead of the draws used so far.
+No output moves, because only `DiffDriveSim` reads the two base streams.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ import numpy as np
 
 from .geometry import SE3, Pose2D
 from .kinematics import KinematicChain, forward_kinematics, jacobian
-from .trajectory import ControlCommand, VelocityLimits, integrate_unicycle
+from .trajectory import ControlCommand, VelocityLimits, unicycle_arc
 
 _STREAMS = ("base_actuation", "base_odometry", "arm", "camera")
+_NOISE_BLOCK = 64   # base steps of noise drawn per refill
 
 
 def subsystem_rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -45,7 +52,7 @@ class BaseNoiseModel:
 
     def __post_init__(self):
         for name in ("actuation_v", "actuation_omega", "odometry_v", "odometry_omega"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"BaseNoiseModel.{name} must be >= 0")
 
 
@@ -59,7 +66,7 @@ class ArmNoiseModel:
     sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if any(s < 0 for s in self.sigma):
+        if not all(s >= 0 for s in self.sigma):
             raise ValueError("ArmNoiseModel.sigma components must be >= 0")
 
 
@@ -81,24 +88,40 @@ class DiffDriveSim:
         self.odom_pose = start
         self.velocity = ControlCommand(0.0, 0.0)
         self.time = 0.0
+        self._factors = iter(())   # per step: (actuation v, ω; odometry v, ω) factors
+
+    def _draw_noise(self) -> None:
+        """The next `_NOISE_BLOCK` steps' noise factors, 1 + fraction * normal, each
+        rounded as the scalar expression is."""
+        n = self.noise
+        act = self._rng_act.standard_normal(2 * _NOISE_BLOCK)
+        odo = self._rng_odo.standard_normal(2 * _NOISE_BLOCK)
+        self._factors = zip((1.0 + n.actuation_v * act[0::2]).tolist(),
+                            (1.0 + n.actuation_omega * act[1::2]).tolist(),
+                            (1.0 + n.odometry_v * odo[0::2]).tolist(),
+                            (1.0 + n.odometry_omega * odo[1::2]).tolist())
 
     def step(self, cmd: ControlCommand, dt: float) -> None:
-        """Advance one control period: clamp, rate-limit, integrate truth and odometry."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        """Advance one control period: clamp, rate-limit, integrate truth and odometry.
+
+        A NaN or infinite command or `dt` raises ValueError, as does `dt <= 0`.
+        """
+        if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
+            raise ValueError(f"cmd must be finite, got {cmd!r}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         lim = self.limits
         self.velocity = lim.rate_limited(self.velocity, cmd.clamped(lim.v_max, lim.omega_max), dt)
         v, w = self.velocity.v, self.velocity.omega
 
-        ev, ew = self._rng_act.standard_normal(2)
-        v_true = v * (1.0 + self.noise.actuation_v * ev)
-        w_true = w * (1.0 + self.noise.actuation_omega * ew)
-        self.true_pose = integrate_unicycle(self.true_pose, ControlCommand(v_true, w_true), dt)
-
-        mv, mw = self._rng_odo.standard_normal(2)
-        v_meas = v_true * (1.0 + self.noise.odometry_v * mv)
-        w_meas = w_true * (1.0 + self.noise.odometry_omega * mw)
-        self.odom_pose = integrate_unicycle(self.odom_pose, ControlCommand(v_meas, w_meas), dt)
+        f = next(self._factors, None)
+        if f is None:
+            self._draw_noise()
+            f = next(self._factors)
+        av, aw, ov, ow = f
+        v_true, w_true = v * av, w * aw
+        self.true_pose = unicycle_arc(self.true_pose, v_true, w_true, dt)
+        self.odom_pose = unicycle_arc(self.odom_pose, v_true * ov, w_true * ow, dt)
 
         self.time += dt
 
@@ -247,7 +270,7 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")

@@ -25,12 +25,16 @@ from .errors import ControlError
 from .geometry import Pose2D, wrap_angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlCommand:
     """Forward speed v (m/s) and yaw rate omega (rad/s)."""
 
     v: float = 0.0
     omega: float = 0.0
+
+    # written by hand for speed, like Pose2D's: the control loop builds several per step
+    def __init__(self, v: float = 0.0, omega: float = 0.0):
+        self.__dict__.update(v=v, omega=omega)
 
     def clamped(self, v_max: float, omega_max: float) -> "ControlCommand":
         return ControlCommand(
@@ -53,7 +57,7 @@ class VelocityLimits:
 
     def __post_init__(self):
         for name in ("v_max", "omega_max", "a_max", "alpha_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"VelocityLimits.{name} must be positive")
 
     def rate_limited(self, prev: ControlCommand, cmd: ControlCommand,
@@ -66,7 +70,11 @@ class VelocityLimits:
 
 def integrate_unicycle(pose: Pose2D, cmd: ControlCommand, dt: float) -> Pose2D:
     """Exact constant-twist step: a circular arc (or straight segment when omega ~ 0)."""
-    v, w = cmd.v, cmd.omega
+    return unicycle_arc(pose, cmd.v, cmd.omega, dt)
+
+
+def unicycle_arc(pose: Pose2D, v: float, w: float, dt: float) -> Pose2D:
+    """`integrate_unicycle` for a twist given as two numbers."""
     if abs(w) < 1e-12:
         return Pose2D(pose.x + v * dt * math.cos(pose.theta),
                       pose.y + v * dt * math.sin(pose.theta),
@@ -308,9 +316,8 @@ def circle_trajectory(radius: float, speed: float, dt: float = 0.05,
         raise ValueError(f"radius and speed must be positive and finite, got {radius!r}, {speed!r}")
     omega = speed / radius
     n = max(1, round(loops * 2.0 * math.pi / (omega * dt)))
-    cmd = ControlCommand(speed, omega)
     states = [start]
     for _ in range(n):
-        states.append(integrate_unicycle(states[-1], cmd, dt))
+        states.append(unicycle_arc(states[-1], speed, omega, dt))
     return TimedTrajectory(dt, np.array([p.as_array() for p in states]),
-                           np.tile(cmd.as_array(), (n, 1)))
+                           np.tile([speed, omega], (n, 1)))

@@ -175,6 +175,31 @@ def test_parse_error_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("load", [load_config, load_scene], ids=["config", "scene"])
+def test_duplicate_key_is_config_error(tmp_path, load):
+    # the last of two equal keys used to win without a word
+    if load is load_config:
+        lines = resolve_config_path("locobot").read_text().splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if text.startswith("  v_max: 0.3"))
+        lines.insert(line, "  v_max: 0.05")
+        key, where = "v_max", f"line {line + 1}, column 3"
+    else:
+        lines = ["floor_radius: 2.0", "objects: []", "floor_radius: 3.0"]
+        key, where = "floor_radius", "line 3, column 1"
+    bad = tmp_path / "dup.yaml"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"found duplicate key '{key}'") as exc:
+        load(bad)
+    assert exc.value.key == str(bad)
+    assert f'in "{bad}", {where}' in str(exc.value)
+
+
+def test_merge_key_is_not_a_duplicate(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("a: &x {b: 1, c: 2}\nd: {<<: *x, b: 3}\n")
+    assert config._read_yaml(path) == {"a": {"b": 1, "c": 2}, "d": {"b": 3, "c": 2}}
+
+
+@pytest.mark.parametrize("load", [load_config, load_scene], ids=["config", "scene"])
 def test_invalid_utf8_is_config_error(tmp_path, load):
     bad = tmp_path / "bad.yaml"
     bad.write_bytes(b"name: \xff\xfe bad\n")

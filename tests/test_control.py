@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, DwaParams,
-                             LqrParams, ProportionalParams, dwa_scores, dwa_step, dwa_window,
-                             euler_step, linearize_dynamics, lqr_backward_pass, lqr_track_step,
-                             proportional_step, riccati_gains, tracking_error)
+                             LqrParams, ProportionalParams, _linspace, dwa_scores, dwa_step,
+                             dwa_window, euler_step, linearize_dynamics, lqr_backward_pass,
+                             lqr_track_step, proportional_step, riccati_gains, tracking_error)
+from robokit.errors import ControlError
 from robokit.geometry import Pose2D
 from robokit.sim import DiffDriveSim
-from robokit.trajectory import (ControlCommand, VelocityLimits, generate_sharp_trajectory)
+from robokit.trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
+                                generate_sharp_trajectory, generate_smooth_trajectory)
 
 LIMITS = VelocityLimits(v_max=0.3, omega_max=1.0, a_max=0.5, alpha_max=2.0)
 DT = 0.05
@@ -141,7 +145,7 @@ def test_lqr_beats_random_linear_policies():
 
 def test_lqr_params_validation():
     for bad in ({"r": (1.0, 0.0)}, {"r": (0.0, 0.5)}, {"q": (5.0, -1e-9, 1.0)},
-                {"qf_scale": 0.0}):
+                {"qf_scale": 0.0}, {"q": (1.0, math.nan, 1.0)}, {"r": (1.0, math.nan)}):
         with pytest.raises(ValueError, match="LqrParams"):
             LqrParams(**bad)
     for bad, field in (({"q": (1.0, 2.0)}, "q"), ({"r": (1.0, 0.5, 1.0)}, "r")):
@@ -346,6 +350,173 @@ def test_dwa_complete_tie_goes_to_first_sample():
     assert (cmd.v, cmd.omega) == (0.025, -0.1)
     assert (cmd.v, cmd.omega) == independent_dwa_oracle(state, current, goal, None, DWA,
                                                         LIMITS, DT)
+
+
+# --- byte-identity referees: the window, scores and Riccati pass as they were
+
+
+def reference_dwa_window(current, limits, dt, params):
+    v_lo = max(0.0, current.v - limits.a_max * dt)
+    v_hi = min(limits.v_max, current.v + limits.a_max * dt)
+    w_lo = max(-limits.omega_max, current.omega - limits.alpha_max * dt)
+    w_hi = min(limits.omega_max, current.omega + limits.alpha_max * dt)
+    v = np.linspace(v_lo, v_hi, params.samples_v)
+    w = np.linspace(w_lo, w_hi, params.samples_omega)
+    vv, ww = np.meshgrid(v, w, indexing="ij")
+    return vv.ravel(), ww.ravel()
+
+
+def reference_rollout_endpoints(state, v, w, horizon):
+    th0 = state.theta
+    th1 = th0 + w * horizon
+    small = np.abs(w) < 1e-9
+    ws = np.where(small, 1.0, w)
+    x = state.x + np.where(small, v * horizon * np.cos(th0),
+                           v / ws * (np.sin(th1) - np.sin(th0)))
+    y = state.y + np.where(small, v * horizon * np.sin(th0),
+                           -v / ws * (np.cos(th1) - np.cos(th0)))
+    return x, y, th1
+
+
+def reference_dwa_scores(state, goal, v, w, limits, params, grid=None):
+    x, y, th = reference_rollout_endpoints(state, v, w, params.horizon)
+    brake = v * v / (2.0 * limits.a_max)
+    sx = x + brake * np.cos(th)
+    sy = y + brake * np.sin(th)
+    d_stop = np.hypot(goal.x - sx, goal.y - sy)
+    bearing = np.arctan2(goal.y - y, goal.x - x)
+    herr = np.abs(np.arctan2(np.sin(bearing - th), np.cos(bearing - th)))
+
+    score = (params.weight_heading * (1.0 - herr / math.pi)
+             + params.weight_distance / (d_stop + 0.05)
+             + params.weight_velocity * v / limits.v_max)
+
+    if grid is not None:
+        n_sub = max(2, int(math.ceil(params.horizon / 0.1)))
+        ts = np.linspace(0.0, params.horizon, n_sub + 1)[1:]
+        px, py, _ = reference_rollout_endpoints(state, v, w, ts[:, None])
+        c = grid.clearance_at(px, py)
+        collided = np.any(c <= 0.0, axis=0)
+        clearance = c.min(axis=0)
+        clear_term = np.clip(clearance / CLEARANCE_CAP, 0.0, 1.0)
+        score = score + params.weight_clearance * clear_term
+        score[collided] = -np.inf
+    return score
+
+
+def reference_linearize_dynamics(ref_state, ref_control, dt):
+    c, s = math.cos(ref_state.theta), math.sin(ref_state.theta)
+    v = ref_control.v
+    A = np.array([
+        [1.0, 0.0, -dt * v * s],
+        [0.0, 1.0, dt * v * c],
+        [0.0, 0.0, 1.0],
+    ])
+    B = np.array([
+        [dt * c, 0.0],
+        [dt * s, 0.0],
+        [0.0, dt],
+    ])
+    return A, B
+
+
+def reference_riccati_gains(A_seq, B_seq, Q, R, Qf):
+    N = len(A_seq)
+    n = np.asarray(Q).shape[0]
+    m = np.asarray(R).shape[0]
+    K = np.zeros((N, m, n))
+    P = np.asarray(Qf, dtype=float).copy()
+    for t in reversed(range(N)):
+        A = np.asarray(A_seq[t], dtype=float)
+        B = np.asarray(B_seq[t], dtype=float)
+        G = R + B.T @ P @ B
+        Kt = np.linalg.solve(G, B.T @ P @ A)
+        K[t] = Kt
+        P = Q + A.T @ P @ (A - B @ Kt)
+        P = 0.5 * (P + P.T)
+    return K
+
+
+def reference_lqr_backward_pass(traj, params):
+    A_seq, B_seq = [], []
+    for k in range(traj.horizon):
+        A, B = reference_linearize_dynamics(traj.state(k), traj.control(k), traj.dt)
+        A_seq.append(A)
+        B_seq.append(B)
+    Q = np.diag(np.asarray(params.q, dtype=float))
+    return reference_riccati_gains(A_seq, B_seq, Q, np.diag(np.asarray(params.r, dtype=float)),
+                                   params.qf_scale * Q)
+
+
+def _same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+windows = st.builds(
+    lambda limits, v, w, dt, nv, nw: (limits, ControlCommand(v, w), dt,
+                                      DwaParams(samples_v=nv, samples_omega=nw)),
+    st.sampled_from([LIMITS, VelocityLimits(0.5, 2.0, 1.0, 4.0),
+                     VelocityLimits(0.3, 1.0, 1e-300, 1e-310)]),   # collapsed, subnormal steps
+    st.floats(-0.5, 0.5) | st.sampled_from([0.0, 0.3, 0.3 - 1e-17]),
+    st.floats(-1.5, 1.5) | st.sampled_from([0.0, -1.0, 1.0]),
+    st.sampled_from([DT, 0.02, 0.1]), st.integers(0, 25), st.integers(0, 25))
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows)
+def test_dwa_window_matches_linspace_meshgrid(window):
+    limits, current, dt, params = window
+    for got, want in zip(dwa_window(current, limits, dt, params),
+                         reference_dwa_window(current, limits, dt, params)):
+        _same_bytes(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.0, 5e-324, -1e-310]),
+       span=st.floats(-1e3, 1e3, allow_subnormal=True) | st.sampled_from([0.0, 1e-323, 5e-324]),
+       num=st.integers(0, 40))
+def test_linspace_replay_matches_numpy(lo, span, num):
+    _same_bytes(_linspace(lo, lo + span, num), np.linspace(lo, lo + span, num))
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows, st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
+       st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-4, 4)), st.booleans())
+def test_dwa_scores_match_reference(window, state, goal, with_grid):
+    from robokit.planning import OccupancyGrid
+    limits, current, dt, params = window
+    state, goal = Pose2D(*state), Pose2D(*goal)
+    grid = None
+    if with_grid:
+        grid = OccupancyGrid.empty(60, 60, 0.1, Pose2D(-3, -3, 0))
+        grid.set_box(0.4, -0.5, 0.8, 0.5)
+    v, w = dwa_window(current, limits, dt, params)
+    _same_bytes(dwa_scores(state, goal, v, w, limits, params, grid),
+                reference_dwa_scores(state, goal, v, w, limits, params, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
+       st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
+       st.sampled_from(["sharp", "smooth"]),
+       st.sampled_from([LIMITS, VelocityLimits(0.5, 2.0, 1.0, 4.0)]),
+       st.sampled_from([DT, 0.1]),
+       st.tuples(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10)),
+       st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)), st.floats(0.1, 100),
+       st.integers(-2, 2))
+def test_lqr_backward_pass_matches_reference(start, goal, kind, limits, dt, q, r, qf_scale,
+                                             turns):
+    gen = generate_smooth_trajectory if kind == "smooth" else generate_sharp_trajectory
+    try:
+        traj = gen(Pose2D(*start), Pose2D(*goal), limits, dt)
+    except ControlError:   # a smooth reference too tight to drive
+        return
+    assume(traj.horizon > 0)
+    # headings off by whole turns: the pass linearizes about the wrapped heading
+    traj = TimedTrajectory(traj.dt, traj.states + [0.0, 0.0, 2.0 * math.pi * turns],
+                           traj.controls)
+    params = LqrParams(q, r, qf_scale)
+    _same_bytes(lqr_backward_pass(traj, params), reference_lqr_backward_pass(traj, params))
 
 
 def test_rate_limiter():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robokit.config import load_config, load_scene
-from robokit.geometry import SE3, Pose2D, axis_rotation
+from robokit.geometry import SE3, Pose2D, axis_rotation, wrap_angle
 from robokit.kinematics import forward_kinematics
+from robokit.planning import OccupancyGrid
 from robokit.report import read_xyz, write_xyz
 from robokit.sim import (ArmNoiseModel, ArmSim, BaseNoiseModel, CameraIntrinsics,
                          DiffDriveSim, Scene, SceneObject, TAG_FLOOR, TAG_OBJECT,
@@ -92,6 +93,143 @@ def test_velocity_and_rate_limits_enforced():
         sim.step(ControlCommand(5.0, 9.0), 0.05)
     assert sim.velocity.v == pytest.approx(lim.v_max)
     assert sim.velocity.omega == pytest.approx(lim.omega_max)
+
+
+def test_step_rejects_non_finite_command_and_dt():
+    # a NaN command went through the clamp's max as a full reverse-and-turn step
+    sim = DiffDriveSim(VelocityLimits())
+    for cmd in (ControlCommand(math.nan, math.nan), ControlCommand(0.1, math.inf)):
+        with pytest.raises(ValueError, match="^cmd must be finite"):
+            sim.step(cmd, 0.05)
+    for dt in (math.nan, math.inf, 0.0, -0.05):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            sim.step(ControlCommand(0.1, 0.1), dt)
+    assert sim.velocity == ControlCommand(0.0, 0.0)
+    assert sim.true_pose == sim.odom_pose == Pose2D() and sim.time == 0.0
+
+
+# --- byte-identity referee: the base step as it was, one RNG call per stream and step
+
+
+@dataclass(frozen=True)
+class ReferencePose:
+    x: float = 0.0
+    y: float = 0.0
+    theta: float = 0.0
+
+    def __post_init__(self):
+        x, y, theta = float(self.x), float(self.y), float(self.theta)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+            raise ValueError(f"Pose2D fields must be finite, got ({x}, {y}, {theta})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta", wrap_angle(theta))
+
+
+@dataclass(frozen=True)
+class ReferenceCommand:
+    v: float = 0.0
+    omega: float = 0.0
+
+    def clamped(self, v_max: float, omega_max: float) -> "ReferenceCommand":
+        return ReferenceCommand(
+            min(v_max, max(-v_max, self.v)),
+            min(omega_max, max(-omega_max, self.omega)),
+        )
+
+
+def reference_rate_limited(lim, prev, cmd, dt):
+    dv, dw = lim.a_max * dt, lim.alpha_max * dt
+    return ReferenceCommand(min(prev.v + dv, max(prev.v - dv, cmd.v)),
+                            min(prev.omega + dw, max(prev.omega - dw, cmd.omega)))
+
+
+def reference_integrate_unicycle(pose, cmd, dt):
+    v, w = cmd.v, cmd.omega
+    if abs(w) < 1e-12:
+        return ReferencePose(pose.x + v * dt * math.cos(pose.theta),
+                             pose.y + v * dt * math.sin(pose.theta),
+                             pose.theta)
+    th1 = pose.theta + w * dt
+    r = v / w
+    return ReferencePose(pose.x + r * (math.sin(th1) - math.sin(pose.theta)),
+                         pose.y - r * (math.cos(th1) - math.cos(pose.theta)),
+                         th1)
+
+
+class ReferenceDiffDrive:
+    def __init__(self, limits, noise, rng_act, rng_odo):
+        self.limits, self.noise = limits, noise
+        self._rng_act, self._rng_odo = rng_act, rng_odo
+        self.true_pose = self.odom_pose = ReferencePose()
+        self.velocity = ReferenceCommand(0.0, 0.0)
+
+    def step(self, cmd, dt):
+        lim = self.limits
+        self.velocity = reference_rate_limited(lim, self.velocity,
+                                               cmd.clamped(lim.v_max, lim.omega_max), dt)
+        v, w = self.velocity.v, self.velocity.omega
+
+        ev, ew = self._rng_act.standard_normal(2)
+        v_true = v * (1.0 + self.noise.actuation_v * ev)
+        w_true = w * (1.0 + self.noise.actuation_omega * ew)
+        self.true_pose = reference_integrate_unicycle(self.true_pose,
+                                                      ReferenceCommand(v_true, w_true), dt)
+
+        mv, mw = self._rng_odo.standard_normal(2)
+        v_meas = v_true * (1.0 + self.noise.odometry_v * mv)
+        w_meas = w_true * (1.0 + self.noise.odometry_omega * mw)
+        self.odom_pose = reference_integrate_unicycle(self.odom_pose,
+                                                      ReferenceCommand(v_meas, w_meas), dt)
+
+
+def _state_bytes(sim) -> bytes:
+    p, q, u = sim.true_pose, sim.odom_pose, sim.velocity
+    return np.array([p.x, p.y, p.theta, q.x, q.y, q.theta, u.v, u.omega]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.3])] * 4),
+       limits=st.sampled_from([VelocityLimits(), VelocityLimits(0.5, 2.0, 1.0, 4.0), LIMITS]),
+       dt=st.sampled_from([0.05, 0.02, 0.1]),
+       steps=st.integers(1, 200))
+def test_base_step_matches_reference_trace(seed, noise, limits, dt, steps):
+    """Block noise draws give the per-step draws' trace to the last bit, across refills."""
+    cmd_rng = np.random.default_rng([seed, 1])
+    rngs = subsystem_rngs(seed)
+    sim = DiffDriveSim(limits, BaseNoiseModel(*noise), rngs["base_actuation"],
+                       rngs["base_odometry"])
+    rngs = subsystem_rngs(seed)
+    ref = ReferenceDiffDrive(limits, BaseNoiseModel(*noise), rngs["base_actuation"],
+                             rngs["base_odometry"])
+    for _ in range(steps):
+        v, w = cmd_rng.uniform(-1.5, 1.5, 2) * (limits.v_max, limits.omega_max)
+        if cmd_rng.uniform() < 0.2:
+            w = 0.0   # straight segments take the other branch of the arc
+        sim.step(ControlCommand(v, w), dt)
+        ref.step(ReferenceCommand(v, w), dt)
+        assert _state_bytes(sim) == _state_bytes(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-1e12, 1e12, allow_subnormal=True)] * 3))
+def test_pose_matches_reference_constructor(xyt):
+    p, ref = Pose2D(*xyt), ReferencePose(*xyt)
+    assert (p.x, p.y, p.theta) == (ref.x, ref.y, ref.theta)
+    assert all(type(f) is float for f in (p.x, p.y, p.theta))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VelocityLimits(v_max=math.nan),
+    lambda: BaseNoiseModel(actuation_v=math.nan),
+    lambda: ArmNoiseModel((math.nan, 0.0, 0.0)),
+    lambda: CameraIntrinsics(math.nan, 1.0, 0.0, 0.0),
+    lambda: OccupancyGrid(math.nan, Pose2D(), [[0]]),
+], ids=["velocity-limits", "base-noise", "arm-noise", "camera", "grid"])
+def test_value_objects_reject_nan(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_arm_settles_exactly_with_zero_noise():
