@@ -357,16 +357,20 @@ class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     keeps the last value without a word)."""
 
     def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
-        return super().construct_mapping(node, deep)
+        pairs = list(node.value)   # as written: flattening merge keys rewrites node.value
+        mapping = super().construct_mapping(node, deep)
+        # one key per pair and nothing merged: no key repeats, and none need be looked up
+        if len(mapping) < len(pairs) or node.value != pairs:
+            seen = set()
+            for key_node, _ in pairs:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+        return mapping
 
 
 def _read_yaml(path):

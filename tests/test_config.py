@@ -197,6 +197,9 @@ def test_merge_key_is_not_a_duplicate(tmp_path):
     path = tmp_path / "merge.yaml"
     path.write_text("a: &x {b: 1, c: 2}\nd: {<<: *x, b: 3}\n")
     assert config._read_yaml(path) == {"a": {"b": 1, "c": 2}, "d": {"b": 3, "c": 2}}
+    path.write_text("a: &x {b: 1, c: 2}\nd: {<<: *x, e: 3, e: 4}\n")
+    with pytest.raises(ConfigError, match="found duplicate key 'e'"):
+        config._read_yaml(path)
 
 
 @pytest.mark.parametrize("load", [load_config, load_scene], ids=["config", "scene"])
