@@ -359,7 +359,7 @@ class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     def construct_mapping(self, node, deep=False):
         pairs = list(node.value)   # as written: flattening merge keys rewrites node.value
         mapping = super().construct_mapping(node, deep)
-        # one key per pair and nothing merged: no key repeats, and none need be looked up
+        # a key for every pair and no merge key: nothing repeats, so skip the look-up
         if len(mapping) < len(pairs) or node.value != pairs:
             seen = set()
             for key_node, _ in pairs:

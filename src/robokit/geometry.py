@@ -17,6 +17,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# stores a field of a frozen dataclass from a hand-written __init__; it keeps the
+# instance's key table shared, where a __dict__.update would cost 144 B per instance
+set_field = object.__setattr__
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi].  wrap_angle(theta + 2*pi*k) == wrap_angle(theta)."""
@@ -37,13 +41,15 @@ class Pose2D:
     y: float = 0.0
     theta: float = 0.0
 
-    # written by hand: the base's control loop builds several poses per step, and
-    # one dict update costs far less than a frozen dataclass's per-field setattr
+    # written by hand, since the base's control loop builds several poses per step:
+    # a generated __init__ would store each field, then __post_init__ again
     def __init__(self, x: float = 0.0, y: float = 0.0, theta: float = 0.0):
         x, y, theta = float(x), float(y), float(theta)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
             raise ValueError(f"Pose2D fields must be finite, got ({x}, {y}, {theta})")
-        self.__dict__.update(x=x, y=y, theta=wrap_angle(theta))
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "theta", wrap_angle(theta))
 
     def compose(self, rel: "Pose2D") -> "Pose2D":
         """SE(2) composition: `rel` expressed in this pose's frame, returned in the world frame."""

@@ -29,7 +29,9 @@ from .kinematics import KinematicChain, forward_kinematics, jacobian
 from .trajectory import ControlCommand, VelocityLimits, unicycle_arc
 
 _STREAMS = ("base_actuation", "base_odometry", "arm", "camera")
-_NOISE_BLOCK = 64   # base steps of noise drawn per refill
+# base steps of noise drawn at a time: enough to amortise the draw, and few enough
+# that the floats a simulator holds stay near 2 KB
+_NOISE_BLOCK = 16
 
 
 def subsystem_rngs(seed: int) -> dict[str, np.random.Generator]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ControlError
-from .geometry import Pose2D, wrap_angle
+from .geometry import Pose2D, set_field, wrap_angle
 
 
 @dataclass(frozen=True, init=False)
@@ -34,7 +34,8 @@ class ControlCommand:
 
     # written by hand for speed, like Pose2D's: the control loop builds several per step
     def __init__(self, v: float = 0.0, omega: float = 0.0):
-        self.__dict__.update(v=v, omega=omega)
+        set_field(self, "v", v)
+        set_field(self, "omega", omega)
 
     def clamped(self, v_max: float, omega_max: float) -> "ControlCommand":
         return ControlCommand(
