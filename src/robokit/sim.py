@@ -90,18 +90,13 @@ class DiffDriveSim:
         self.odom_pose = start
         self.velocity = ControlCommand(0.0, 0.0)
         self.time = 0.0
-        self._factors = iter(())   # per step: (actuation v, ω; odometry v, ω) factors
+        self._normals = iter(())   # per step: actuation (v, ω) and odometry (v, ω) normals
 
-    def _draw_noise(self) -> None:
-        """The next `_NOISE_BLOCK` steps' noise factors, 1 + fraction * normal, each
-        rounded as the scalar expression is."""
-        n = self.noise
-        act = self._rng_act.standard_normal(2 * _NOISE_BLOCK)
-        odo = self._rng_odo.standard_normal(2 * _NOISE_BLOCK)
-        self._factors = zip((1.0 + n.actuation_v * act[0::2]).tolist(),
-                            (1.0 + n.actuation_omega * act[1::2]).tolist(),
-                            (1.0 + n.odometry_v * odo[0::2]).tolist(),
-                            (1.0 + n.odometry_omega * odo[1::2]).tolist())
+    def _draw_normals(self) -> None:
+        """The next `_NOISE_BLOCK` steps' normals from each base stream."""
+        act = self._rng_act.standard_normal(2 * _NOISE_BLOCK).tolist()
+        odo = self._rng_odo.standard_normal(2 * _NOISE_BLOCK).tolist()
+        self._normals = zip(act[0::2], act[1::2], odo[0::2], odo[1::2])
 
     def step(self, cmd: ControlCommand, dt: float) -> None:
         """Advance one control period: clamp, rate-limit, integrate truth and odometry.
@@ -116,14 +111,19 @@ class DiffDriveSim:
         self.velocity = lim.rate_limited(self.velocity, cmd.clamped(lim.v_max, lim.omega_max), dt)
         v, w = self.velocity.v, self.velocity.omega
 
-        f = next(self._factors, None)
-        if f is None:
-            self._draw_noise()
-            f = next(self._factors)
-        av, aw, ov, ow = f
-        v_true, w_true = v * av, w * aw
+        normals = next(self._normals, None)
+        if normals is None:
+            self._draw_normals()
+            normals = next(self._normals)
+        ev, ew, mv, mw = normals
+        noise = self.noise
+        v_true = v * (1.0 + noise.actuation_v * ev)
+        w_true = w * (1.0 + noise.actuation_omega * ew)
         self.true_pose = unicycle_arc(self.true_pose, v_true, w_true, dt)
-        self.odom_pose = unicycle_arc(self.odom_pose, v_true * ov, w_true * ow, dt)
+
+        v_meas = v_true * (1.0 + noise.odometry_v * mv)
+        w_meas = w_true * (1.0 + noise.odometry_omega * mw)
+        self.odom_pose = unicycle_arc(self.odom_pose, v_meas, w_meas, dt)
 
         self.time += dt
 
