@@ -209,6 +209,17 @@ class DwaParams:
     position_tolerance: float = 0.015
     heading_tolerance: float = math.radians(1.5)
 
+    def __post_init__(self):
+        for name in ("samples_v", "samples_omega"):
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ValueError(f"DwaParams.{name} must be >= 1")
+        for name in ("horizon", "position_tolerance", "heading_tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"DwaParams.{name} must be positive and finite")
+        for name in ("weight_heading", "weight_distance", "weight_velocity", "weight_clearance"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"DwaParams.{name} must be >= 0 and finite")
+
 
 def dwa_window(current: ControlCommand, limits: VelocityLimits, dt: float,
                params: DwaParams) -> tuple[np.ndarray, np.ndarray]:

@@ -49,6 +49,8 @@ class Joint:
             raise ValueError(f"joint {self.name}: axis must be unit-norm, got |axis|={n:.6g}")
         if not self.lower < self.upper:
             raise ValueError(f"joint {self.name}: lower limit must be < upper limit")
+        if not 0 < self.max_velocity < math.inf:
+            raise ValueError(f"joint {self.name}: max_velocity must be positive and finite")
 
 
 def _read_only(values) -> np.ndarray:
@@ -123,7 +125,7 @@ class KinematicChain:
 @dataclass(frozen=True)
 class IkParams:
     """IK settings: the tolerances every solution is checked against, then the DLS
-    settings. All values are strictly positive except `restarts`, which may be 0."""
+    settings. All values are positive and finite except `restarts`, which may be 0."""
 
     position_tolerance: float = 1e-6   # m
     orientation_tolerance: float = 1e-6  # rad
@@ -135,9 +137,9 @@ class IkParams:
     def __post_init__(self):
         for name in ("position_tolerance", "orientation_tolerance", "max_iterations",
                      "damping", "step_clamp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IkParams.{name} must be positive")
-        if self.restarts < 0:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"IkParams.{name} must be positive and finite")
+        if not 0 <= self.restarts < math.inf:
             raise ValueError("IkParams.restarts must be >= 0")
 
 

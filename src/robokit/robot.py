@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import SUBSYSTEMS, RobotConfig
 from .control import CONTROLLERS, DEFAULT_CONTROLLER, tracking_law, within_tolerance
-from .errors import CapabilityError, IkConvergenceError
+from .errors import CapabilityError, ControlError, IkConvergenceError
 from .geometry import SE3, Pose2D, zyx_from_matrix
 from .kinematics import inverse_kinematics, pose_from_pitch_roll
 from .trajectory import ControlCommand, TimedTrajectory
@@ -76,7 +76,8 @@ class BaseInterface:
 
         Commands are rate-limited from rest. Returns the commands, the
         (odometric, true) pose before each, and the law's stop reason (None if
-        `timeout` s of simulated time ran out first).
+        `timeout` s of simulated time ran out first). A NaN or infinite command
+        from the law raises ControlError naming its step.
         """
         s = self._settings
         t0 = self._sim.time
@@ -87,6 +88,9 @@ class BaseInterface:
             out = law(len(commands), self.odom_pose, current)
             if isinstance(out, str):
                 return commands, poses, out
+            # checked before rate limiting, which would turn a NaN into a finite command
+            if not (math.isfinite(out.v) and math.isfinite(out.omega)):
+                raise ControlError(f"control law gave {out!r} at step {len(commands)}")
             current = s.limits.rate_limited(current, out, s.dt)
             commands.append(current)
             poses.append((self.odom_pose, self.true_pose))

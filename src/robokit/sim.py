@@ -15,6 +15,11 @@ steps, one block per stream at a time: k calls of `standard_normal(2)` give the
 same values as one `standard_normal(2k)`, so every step sees the draws it saw
 one pair at a time. A block leaves its stream ahead of the draws used so far.
 No output moves, because only `DiffDriveSim` reads the two base streams.
+
+The camera draws every floor sample over the range disk, so its stream does
+not depend on the view. It culls the draws by range and azimuth before taking
+the square root and the trig, then to the frustum, then by the exact test;
+each cull is wider than the next, so no point the exact test keeps is lost.
 """
 
 from __future__ import annotations
@@ -145,21 +150,28 @@ class ArmSim:
         Every control period `dt` moves each joint by at most its velocity
         limit times `dt`. The per-axis perturbation is mapped to joint space through the position
         Jacobian pseudoinverse, so the attained end-effector position equals the
-        commanded one plus (to first order) the drawn Cartesian offset.
+        commanded one plus (to first order) the drawn Cartesian offset. A NaN,
+        infinite or non-positive `dt` raises ValueError.
         """
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         target = self.chain.check_dimension(target)
         for j, x in zip(self.chain.joints, target):
             if not j.lower - 1e-12 <= x <= j.upper + 1e-12:
                 raise ValueError(f"joint {j.name}: target {x:.4f} outside limits "
                                  f"[{j.lower:.4f}, {j.upper:.4f}]")
-        max_step = self.chain.velocity_limits * dt
+        # the slew on Python floats: min(max(.)) is np.clip for finite values
+        q, goal = self.q.tolist(), target.tolist()
+        max_step = (self.chain.velocity_limits * dt).tolist()
         for _ in range(int(math.ceil(max_time / dt)) + 1):
-            self.q = self.q + np.clip(target - self.q, -max_step, max_step)
+            q = [a + min(max(b - a, -m), m) for a, b, m in zip(q, goal, max_step)]
             self.time += dt
-            if np.all(self.q == target):
+            if q == goal:
                 break
         else:
+            self.q = np.array(q)
             raise RuntimeError("arm failed to settle within max_time")
+        self.q = np.array(q)
         sigma = np.asarray(self.noise.sigma)
         delta = sigma * self._rng.standard_normal(3)
         if np.any(sigma > 0):
@@ -191,8 +203,8 @@ class SceneObject:
     def __post_init__(self):
         if self.shape not in ("box", "cylinder"):
             raise ValueError(f"unknown shape {self.shape!r}")
-        if any(d <= 0 for d in self.dimensions):
-            raise ValueError("dimensions must be positive")
+        if not all(0 < d < math.inf for d in self.dimensions):
+            raise ValueError("dimensions must be positive and finite")
         n = 3 if self.shape == "box" else 2
         if len(self.dimensions) != n:
             raise ValueError(f"{self.shape} needs {n} dimensions")
@@ -309,6 +321,49 @@ def _azimuth_sector(camera_pose: SE3, intrinsics: CameraIntrinsics,
     return lo, lo + 2 * math.pi - gaps[i]
 
 
+def _norm(x, y, z) -> np.ndarray:
+    """Row norms from columns: np.linalg.norm(axis=1) sums x*x, y*y, z*z in this order."""
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _floor_points(camera_pose: SE3, inv: SE3, intrinsics: CameraIntrinsics,
+                  floor_radius: float, density: float, max_range: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The floor samples over the range disk below the camera that may pass the exact
+    test in `render_point_cloud`: every sample that test keeps, and a few more."""
+    n = int(round(math.pi * max_range ** 2 * density))
+    if n == 0:
+        return np.zeros((0, 3))
+    # uniform(0, b, n) is 0 + b * random(n), so these are its floats; scaled in
+    # place, so no third array of n floats is live at once
+    u = rng.random(n)
+    ang = rng.random(n)
+    ang *= 2 * math.pi
+    cam_pos = camera_pose.translation
+    h = cam_pos[2]
+    if not h > 0.0:   # the floor faces +z
+        return np.zeros((0, 3))
+    # the exact test keeps a sample within max_range of the camera, at radius
+    # max_range * sqrt(u) from the point below it; cull 1e-6 m beyond that range
+    m = u <= ((max_range + 1e-6) ** 2 - h * h) / max_range ** 2
+    # a floor sample seen from the camera lies at the azimuth of its view ray
+    sector = _azimuth_sector(camera_pose, intrinsics, pad=1.0)
+    if sector is not None:
+        lo, hi = sector
+        m &= (ang >= lo) & (ang <= hi) | (ang <= hi - 2 * math.pi)
+    i = np.flatnonzero(m)
+    rad, ang = max_range * np.sqrt(u[i]), ang[i]
+    fx_ = cam_pos[0] + rad * np.cos(ang)
+    fy_ = cam_pos[1] + rad * np.sin(ang)
+    # on z = 0 the camera frame is affine in (x, y). The cull widens the exact test
+    # by 1e-6 m in depth and 1 px in the image, so rounding never drops a point that
+    # test keeps
+    xc, yc, zc = (r[0] * fx_ + r[1] * fy_ + t for r, t in zip(inv.R, inv.translation))
+    i = np.flatnonzero((fx_ ** 2 + fy_ ** 2 <= floor_radius ** 2)
+                       & (zc > 0.01 - 1e-6) & _in_image(xc, yc, zc, intrinsics, pad=1.0))
+    return np.column_stack([fx_[i], fy_[i], np.zeros(len(i))])
+
+
 def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrinsics,
                        density: float = 20000.0, depth_sigma: float = 0.0,
                        rng: np.random.Generator | None = None,
@@ -321,12 +376,21 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     points first. Object-vs-object occlusion is not modeled.
 
     The floor is drawn over the whole range disk, whatever the camera sees, so
-    the random stream stays fixed; its samples are then culled, by azimuth and
-    then to the frustum, before the exact projection. A render with no point
-    in view returns a (0, 3) cloud and no tags.
+    the random stream stays fixed. Its samples are culled in three stages: by
+    range and azimuth on the raw draws, before the square root and the trig;
+    then to the frustum; then by the exact test every point passes. Each cull
+    is wider than the test after it, so the cloud and the stream are those of
+    testing every sample exactly. A render with no point in view returns a
+    (0, 3) cloud and no tags.
+
+    `density` and `max_range` must be positive and finite, `depth_sigma` >= 0
+    and finite; any other value raises ValueError naming the argument.
     """
-    if density <= 0:
-        raise ValueError("density must be positive")
+    for name, value in (("density", density), ("max_range", max_range)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not 0.0 <= depth_sigma < math.inf:
+        raise ValueError(f"depth_sigma must be >= 0 and finite, got {depth_sigma!r}")
     rng = rng or np.random.default_rng(3)
     cam_pos = camera_pose.translation
     inv = camera_pose.inverse()
@@ -337,37 +401,19 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     normals = np.vstack([np.zeros((0, 3))] + [n for _, n in samples])
     obj_pts = obj_pts[np.einsum("ij,ij->i", normals, cam_pos - obj_pts) > 0.0]
 
-    floor_pts = np.zeros((0, 3))
-    n_floor = int(round(math.pi * max_range ** 2 * density))
-    if n_floor:
-        rad = max_range * np.sqrt(rng.uniform(0.0, 1.0, n_floor))
-        ang = rng.uniform(0.0, 2 * math.pi, n_floor)
-        # a floor sample seen from the camera lies at the azimuth of its view ray
-        sector = _azimuth_sector(camera_pose, intrinsics, pad=1.0)
-        if sector is not None:
-            lo, hi = sector
-            seen = (ang >= lo) & (ang <= hi) | (ang <= hi - 2 * math.pi)
-            rad, ang = rad[seen], ang[seen]
-        fx_ = cam_pos[0] + rad * np.cos(ang)
-        fy_ = cam_pos[1] + rad * np.sin(ang)
-        # on z = 0 the camera frame is affine in (x, y), and the floor faces +z. The
-        # cull widens the exact test below by 1e-6 m in depth and 1 px in the image,
-        # so rounding never drops a point that test keeps
-        xc, yc, zc = (r[0] * fx_ + r[1] * fy_ + t for r, t in zip(inv.R, inv.translation))
-        keep = ((fx_ ** 2 + fy_ ** 2 <= scene.floor_radius ** 2) & (cam_pos[2] > 0.0)
-                & (zc > 0.01 - 1e-6) & _in_image(xc, yc, zc, intrinsics, pad=1.0))
-        floor_pts = np.column_stack([fx_[keep], fy_[keep], np.zeros(int(keep.sum()))])
+    floor_pts = _floor_points(camera_pose, inv, intrinsics, scene.floor_radius, density,
+                              max_range, rng)
 
     pts = np.vstack([obj_pts, floor_pts])
     tags = np.repeat(np.array([TAG_OBJECT, TAG_FLOOR], dtype=np.int8),
                      [len(obj_pts), len(floor_pts)])
-    pc = inv.transform_point(pts)
-    keep = ((pc[:, 2] > 0.01) & _in_image(*pc.T, intrinsics)
-            & (np.linalg.norm(pc, axis=1) <= max_range))
-    pts, tags = pts[keep], tags[keep]
+    x, y, z = inv.transform_point(pts).T
+    i = np.flatnonzero((z > 0.01) & _in_image(x, y, z, intrinsics)
+                       & (_norm(x, y, z) <= max_range))
+    pts, tags = pts[i], tags[i]
 
     if depth_sigma > 0 and len(pts):
         rays = pts - cam_pos
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        rays /= _norm(*rays.T)[:, None]
         pts = pts + rays * (depth_sigma * rng.standard_normal(len(pts)))[:, None]
     return pts, tags

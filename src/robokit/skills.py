@@ -47,9 +47,9 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.min_pts < 1:
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 1 <= self.min_pts < math.inf:
             raise ValueError("min_pts must be >= 1")
 
 

@@ -96,8 +96,8 @@ class TimedTrajectory:
     controls: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if len(self.controls) != max(0, len(self.states) - 1):
             raise ValueError("controls length must be len(states) - 1")
 

@@ -459,7 +459,7 @@ windows = st.builds(
                      VelocityLimits(0.3, 1.0, 1e-300, 1e-310)]),   # collapsed, subnormal steps
     st.floats(-0.5, 0.5) | st.sampled_from([0.0, 0.3, 0.3 - 1e-17]),
     st.floats(-1.5, 1.5) | st.sampled_from([0.0, -1.0, 1.0]),
-    st.sampled_from([DT, 0.02, 0.1]), st.integers(0, 25), st.integers(0, 25))
+    st.sampled_from([DT, 0.02, 0.1]), st.integers(1, 25), st.integers(1, 25))
 
 
 @settings(max_examples=400, deadline=None)

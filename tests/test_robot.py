@@ -6,10 +6,11 @@ import pytest
 
 from robokit.backends import SimBackend
 from robokit.config import load_config
-from robokit.errors import CapabilityError
+from robokit.errors import CapabilityError, ControlError
 from robokit.geometry import Pose2D, angle_diff, planar_distance
 from robokit.kinematics import forward_kinematics
 from robokit.robot import make_robot
+from robokit.trajectory import ControlCommand
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +346,17 @@ def test_non_finite_input_fails_fast(locobot_cfg, call, name):
     assert bot.base.odom_pose == Pose2D()
     np.testing.assert_array_equal(bot.arm.joint_positions, q0)
     assert bot.camera.pan_tilt == pan_tilt
+
+
+@pytest.mark.parametrize("bad", [ControlCommand(NAN, NAN), ControlCommand(0.1, INF)],
+                         ids=["nan", "inf"])
+def test_drive_rejects_non_finite_law_command(locobot_cfg, bad):
+    """A law's NaN survives the rate limiter as a finite command, so the loop checks it first."""
+    bot = fresh_robot(locobot_cfg)
+
+    def law(k, pose, current):
+        return ControlCommand(0.1, 0.2) if k < 3 else bad
+
+    with pytest.raises(ControlError, match="at step 3$"):
+        bot.base._drive(law, 10.0)
+    assert bot.sim_time == pytest.approx(3 * locobot_cfg.base.dt)

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from robokit.config import load_config, load_scene
 from robokit.geometry import SE3, Pose2D, axis_rotation, wrap_angle
-from robokit.kinematics import forward_kinematics
+from robokit.control import DwaParams
+from robokit.kinematics import IkParams, Joint, KinematicChain, forward_kinematics, jacobian
 from robokit.planning import OccupancyGrid
 from robokit.report import read_xyz, write_xyz
+from robokit.skills import DbscanParams
 from robokit.sim import (ArmNoiseModel, ArmSim, BaseNoiseModel, CameraIntrinsics,
                          DiffDriveSim, Scene, SceneObject, TAG_FLOOR, TAG_OBJECT,
                          _box_surface_samples, _cylinder_surface_samples,
                          render_point_cloud, subsystem_rngs)
-from robokit.trajectory import ControlCommand, VelocityLimits
+from robokit.trajectory import ControlCommand, TimedTrajectory, VelocityLimits
 
 LIMITS = VelocityLimits(v_max=5.0, omega_max=5.0, a_max=1e6, alpha_max=1e6)
 # optical frame (x right, y down, z forward) in a camera body frame (x forward, z up)
@@ -226,7 +228,19 @@ def test_pose_matches_reference_constructor(xyt):
     lambda: ArmNoiseModel((math.nan, 0.0, 0.0)),
     lambda: CameraIntrinsics(math.nan, 1.0, 0.0, 0.0),
     lambda: OccupancyGrid(math.nan, Pose2D(), [[0]]),
-], ids=["velocity-limits", "base-noise", "arm-noise", "camera", "grid"])
+    lambda: SceneObject("box", SE3(), (math.nan, 1.0, 1.0)),
+    lambda: SceneObject("cylinder", SE3(), (0.1, math.inf)),
+    lambda: TimedTrajectory(math.nan, np.zeros((1, 3)), np.zeros((0, 2))),
+    lambda: IkParams(damping=math.nan),
+    lambda: IkParams(max_iterations=math.inf),
+    lambda: DbscanParams(eps=math.nan, min_pts=3),
+    lambda: DwaParams(samples_v=0),
+    lambda: DwaParams(horizon=math.nan),
+    lambda: DwaParams(weight_clearance=math.inf),
+    lambda: Joint("j", SE3(), (0.0, 0.0, 1.0), -1.0, 1.0, max_velocity=math.nan),
+], ids=["velocity-limits", "base-noise", "arm-noise", "camera", "grid", "scene-object-nan",
+        "scene-object-inf", "timed-trajectory", "ik-nan", "ik-inf", "dbscan", "dwa-samples",
+        "dwa-horizon", "dwa-weight", "joint-velocity"])
 def test_value_objects_reject_nan(make):
     with pytest.raises(ValueError):
         make()
@@ -254,6 +268,82 @@ def test_arm_settle_step_budget():
     with pytest.raises(RuntimeError, match="max_time"):
         sim.settle(target, 0.25, max_time=1.0)
     assert sim.time == 1.25
+
+
+def reference_settle(sim, target, dt=0.05, max_time=30.0):
+    """ArmSim.settle with the slew on numpy arrays, kept verbatim as the byte-equality oracle."""
+    target = sim.chain.check_dimension(target)
+    for j, x in zip(sim.chain.joints, target):
+        if not j.lower - 1e-12 <= x <= j.upper + 1e-12:
+            raise ValueError(f"joint {j.name}: target {x:.4f} outside limits "
+                             f"[{j.lower:.4f}, {j.upper:.4f}]")
+    max_step = sim.chain.velocity_limits * dt
+    for _ in range(int(math.ceil(max_time / dt)) + 1):
+        sim.q = sim.q + np.clip(target - sim.q, -max_step, max_step)
+        sim.time += dt
+        if np.all(sim.q == target):
+            break
+    else:
+        raise RuntimeError("arm failed to settle within max_time")
+    sigma = np.asarray(sim.noise.sigma)
+    delta = sigma * sim._rng.standard_normal(3)
+    if np.any(sigma > 0):
+        dq = np.linalg.pinv(jacobian(sim.chain, sim.q)[:3]) @ delta
+        sim.q = sim.chain.clamp(sim.q + dq)
+    return sim.q.copy()
+
+
+_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+@st.composite
+def settle_cases(draw):
+    """A random chain, a start anywhere in its limits, two targets on or inside them,
+    and a period and time budget that sometimes run out before the target."""
+    joints, q0, targets = [], [], ([], [])
+    for i in range(draw(st.integers(1, 7))):
+        lower = draw(st.floats(-3.0, 2.9))
+        upper = draw(st.floats(lower + 0.01, 3.0))
+        joints.append(Joint(f"j{i}", SE3(tuple(draw(st.floats(-0.3, 0.3)) for _ in range(3))),
+                            draw(st.sampled_from(_AXES)), lower, upper,
+                            draw(st.floats(0.05, 4.0))))
+        inside = st.floats(lower, upper)
+        q0.append(draw(inside))
+        for t in targets:
+            t.append(draw(st.one_of(st.sampled_from([lower, upper]), inside)))
+    noise = ArmNoiseModel(draw(st.sampled_from([(0.0, 0.0, 0.0), (1e-4, 2e-4, 0.0)])))
+    dt = draw(st.floats(0.01, 0.5))
+    max_time = draw(st.one_of(st.floats(0.0, 1.0), st.just(30.0)))
+    return KinematicChain(tuple(joints)), noise, q0, targets, dt, max_time, draw(st.integers(0, 99))
+
+
+@settings(max_examples=100, deadline=None)
+@given(settle_cases())
+def test_settle_matches_reference(case):
+    chain, noise, q0, targets, dt, max_time, seed = case
+    sim = ArmSim(chain, noise, rng=np.random.default_rng(seed), q0=q0)
+    ref = ArmSim(chain, noise, rng=np.random.default_rng(seed), q0=q0)
+    for target in targets:   # the second starts where the first stopped, raised or not
+        outcomes = []
+        for settle in (sim.settle, lambda t, d, m: reference_settle(ref, t, d, m)):
+            try:
+                q = settle(np.array(target), dt, max_time)
+                outcomes.append((q.dtype, q.tobytes()))
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert sim.q.dtype == ref.q.dtype and sim.q.tobytes() == ref.q.tobytes()
+        assert sim.time == ref.time
+        assert sim._rng.random() == ref._rng.random()
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan, math.inf])
+def test_settle_rejects_bad_dt(dt):
+    cfg = load_config("locobot")
+    sim = ArmSim(cfg.chain, q0=cfg.home)
+    with pytest.raises(ValueError, match="^dt must be"):
+        sim.settle(np.array([0.3, 0.4, -0.6, 0.3, 0.0]), dt)
+    assert sim.time == 0.0 and np.array_equal(sim.q, cfg.home)
 
 
 def test_arm_limit_violation_names_joint():
@@ -430,16 +520,21 @@ def render_cases(draw):
     intr = CameraIntrinsics(draw(st.floats(50.0, 2000.0)), draw(st.floats(50.0, 2000.0)),
                             draw(st.floats(0.0, width)), draw(st.floats(0.0, height)),
                             width, height)
-    # some within 5 cm of the floor, where floor points sit near the 1 cm depth bound
+    max_range = draw(st.floats(0.05, 2.0))
+    # some within 5 cm of the floor, where floor points sit near the 1 cm depth bound;
+    # some within 1e-6 m of max_range or above it, where the floor's range cull
+    # keeps almost nothing
     cam_xyz = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
-               draw(st.one_of(st.floats(-0.3, 1.2), st.floats(0.0, 0.05))))
+               draw(st.one_of(st.floats(-0.3, 1.2), st.floats(0.0, 0.05),
+                              st.floats(-1e-6, 1e-6).map(lambda d: max_range + d),
+                              st.floats(0.0, 0.5).map(lambda d: max_range + d))))
     pitch = draw(st.one_of(_angle, st.floats(0.2, math.pi / 2)))   # half of them look down
     cam = SE3(cam_xyz, _rotation(draw(_angle), pitch, draw(_angle)) @ OPTICAL)
     scene = Scene(objects=draw(st.lists(scene_objects(), max_size=3)),
                   floor_radius=draw(st.floats(0.001, 3.0)))
     kwargs = {"density": draw(st.floats(50.0, 6000.0)),
               "depth_sigma": draw(st.sampled_from([0.0, 0.002])),
-              "max_range": draw(st.floats(0.05, 2.0))}
+              "max_range": max_range}
     return scene, cam, intr, kwargs, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -459,6 +554,20 @@ def test_render_matches_reference(case):
     assert rng.random() == rng_ref.random()
 
 
+def test_render_keeps_points_at_the_range_bound():
+    # looking straight down with the whole range circle in view, at a density that puts
+    # dozens of kept points within 0.1 mm of max_range, where the floor's range cull lies
+    intr = CameraIntrinsics(100, 100, 320, 240)
+    cam = SE3((0.1, -0.2, 0.5), _rotation(0.3, math.pi / 2, 0.0) @ OPTICAL)
+    kwargs = {"density": 2e5, "max_range": 0.8}
+    pts, tags = render_point_cloud(Scene(floor_radius=3.0), cam, intr,
+                                   rng=np.random.default_rng(5), **kwargs)
+    ref_pts, ref_tags = reference_render_point_cloud(Scene(floor_radius=3.0), cam, intr,
+                                                     rng=np.random.default_rng(5), **kwargs)
+    assert np.array_equal(pts, ref_pts) and np.array_equal(tags, ref_tags)
+    assert np.sum(np.linalg.norm(pts - cam.translation, axis=1) > 0.8 - 1e-4) >= 20
+
+
 def test_render_empty_view_returns_empty_cloud():
     # the range disk around the camera misses the 1 mm floor patch and there is no object
     intr = CameraIntrinsics(600, 600, 320, 240)
@@ -467,6 +576,18 @@ def test_render_empty_view_returns_empty_cloud():
                                    rng=np.random.default_rng(0), depth_sigma=0.002, max_range=0.3)
     assert pts.shape == (0, 3) and pts.dtype == float
     assert tags.shape == (0,) and tags.dtype == np.int8
+
+
+@pytest.mark.parametrize("name, value", [
+    ("density", math.nan), ("density", math.inf), ("density", 0.0),
+    ("max_range", -1.0), ("max_range", math.nan), ("max_range", math.inf),
+    ("depth_sigma", math.nan), ("depth_sigma", -1.0), ("depth_sigma", math.inf),
+])
+def test_render_rejects_bad_arguments(name, value):
+    intr = CameraIntrinsics(600, 600, 320, 240)
+    cam = SE3((0.0, 0.0, 0.6), _rotation(0.0, 0.7, 0.0) @ OPTICAL)
+    with pytest.raises(ValueError, match=name):
+        render_point_cloud(Scene(), cam, intr, rng=np.random.default_rng(0), **{name: value})
 
 
 def test_noise_streams_independent():
