@@ -4,7 +4,7 @@ from .backends import SimBackend, sim_backend_factory
 from .config import RobotConfig, load_config, load_scene
 from .control import (DwaParams, LqrParams, ProportionalParams, dwa_step, linearize_dynamics,
                       lqr_backward_pass, lqr_track_step, proportional_step, riccati_gains)
-from .errors import (CapabilityError, ConfigError, ControlError, IkConvergenceError,
+from .errors import (BoundError, CapabilityError, ConfigError, ControlError, IkConvergenceError,
                      NoClustersError, NoPathError, RobokitError)
 from .geometry import SE3, Pose2D, wrap_angle
 from .kinematics import (IkParams, Joint, KinematicChain, forward_kinematics,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RobotConfig
 from .control import DEFAULT_CONTROLLER, tracking_law
-from .errors import IkConvergenceError
+from .errors import Bounded, IkConvergenceError, bounded
 from .geometry import SE3, Pose2D, angle_diff, planar_distance
 from .kinematics import forward_kinematics, inverse_kinematics
 from .robot import make_robot
@@ -27,16 +27,15 @@ MOTION_CLASSES = ("linear", "rotation", "combined")
 
 
 @dataclass(frozen=True)
-class BaseTrialProtocol:
+class BaseTrialProtocol(Bounded):
     """One motion class: its target poses and the number of trials per target."""
 
     motion_class: str
     targets: tuple
-    trials: int = 5
+    trials: int = bounded(5, low=1)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        super().__post_init__()
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"unknown motion class {self.motion_class!r}")
 

@@ -2,9 +2,10 @@
 
 See docs/formats.md for the full schema. Each settings section is built from
 its dataclass (`_build`): omitted keys keep the dataclass defaults, given keys
-are checked against their types, unknown keys are rejected, and errors name
-the offending key (e.g. ``base.v_max``). Required structure (subsystem flags,
-the arm chain and base limits when those are enabled) has no default.
+are checked here for their type and against the bounds their fields declare
+(`errors.bounded`), unknown keys are rejected, and errors name the offending
+key (e.g. ``base.v_max``). Required structure (subsystem flags, the arm chain
+and base limits when those are enabled) has no default.
 
 Bundled configs: ``locobot``, ``locobot_lite``, ``sawyer_sim``. The
 ``ROBOKIT_CONFIG_DIR`` environment variable prepends a search directory for
@@ -23,7 +24,7 @@ import numpy as np
 import yaml
 
 from .control import CONTROLLERS, LqrParams  # noqa: F401  (LqrParams is re-exported)
-from .errors import ConfigError
+from .errors import BoundError, Bounded, ConfigError, bounded, positive
 from .geometry import SE3
 from .kinematics import IkParams, Joint, KinematicChain
 from .sim import ArmNoiseModel, BaseNoiseModel, CameraIntrinsics, Scene, SceneObject
@@ -34,19 +35,6 @@ SUBSYSTEMS = ("arm", "base", "camera", "gripper")
 
 # fields held in radians; their YAML key is the field name plus "_deg"
 _DEGREES = {"bearing_threshold", "heading_tolerance"}
-# fields that must be strictly positive, in whichever section they appear; a
-# vector field (the LQR control weights `r`) entry by entry
-_POSITIVE = {
-    "v_max", "omega_max", "a_max", "alpha_max", "dt", "position_tolerance",
-    "heading_tolerance", "timeout", "kp_lin", "kp_ang", "bearing_threshold", "qf_scale",
-    "samples_v", "samples_omega", "horizon", "fx", "fy", "width", "height", "max_range",
-    "density", "dbscan_eps", "dbscan_min_pts", "pregrasp_height", "grasp_height",
-    "pre_push_height", "push_height", "tracking_speed", "orientation_tolerance",
-    "max_iterations", "damping", "step_clamp", "floor_radius", "r",
-}
-# vector fields whose entries must be >= 0: the LQR state weights and the arm's
-# settling noise
-_NON_NEGATIVE = {"q", "sigma"}
 # fields a config must give although their dataclass has a default
 _REQUIRED = {"v_max", "omega_max"}
 _CHOICES = {"trajectory": ("sharp", "smooth")}
@@ -64,42 +52,42 @@ class _Frames:
 
 
 @dataclass(frozen=True)
-class BaseSettings:
+class BaseSettings(Bounded):
     limits: VelocityLimits = field(default_factory=VelocityLimits)
-    dt: float = 0.05
-    position_tolerance: float = 0.005
-    heading_tolerance: float = math.radians(0.5)
-    timeout: float = 60.0
+    dt: float = positive(0.05)
+    position_tolerance: float = positive(0.005)
+    heading_tolerance: float = positive(math.radians(0.5))
+    timeout: float = positive(60.0)
 
 
 @dataclass(frozen=True)
-class CameraSettings:
+class CameraSettings(Bounded):
     intrinsics: CameraIntrinsics = CameraIntrinsics(600.0, 600.0, 320.0, 240.0)
     mount: SE3 = field(default_factory=lambda: SE3((0.0, 0.0, 0.6)))
     default_pan_tilt: tuple[float, float] = (0.0, 0.7)
-    max_range: float = 1.5
-    density: float = 20000.0
-    depth_sigma: float = 0.002
+    max_range: float = positive(1.5)
+    density: float = positive(20000.0)
+    depth_sigma: float = bounded(0.002)
 
 
 @dataclass(frozen=True)
-class SkillSettings:
+class SkillSettings(Bounded):
     z_floor: float = 0.02
-    max_range: float = 1.0
-    dbscan_eps: float = 0.03
-    dbscan_min_pts: int = 10
-    pregrasp_height: float = 0.2
-    grasp_height: float = 0.13
-    pre_push_height: float = 0.2
-    push_height: float = 0.13
+    max_range: float = positive(1.0)
+    dbscan_eps: float = positive(0.03)
+    dbscan_min_pts: int = bounded(10, low=1)
+    grasp_height: float = positive(0.13)
+    pregrasp_height: float = bounded(0.2, low="grasp_height")
+    push_height: float = positive(0.13)
+    pre_push_height: float = bounded(0.2, low="push_height")
 
 
 @dataclass(frozen=True)
-class BenchmarkSettings:
+class BenchmarkSettings(Bounded):
     repeatability_poses: tuple = ((0.25, -0.10, 0.20), (0.25, 0.10, 0.20),
                                   (0.40, -0.10, 0.20), (0.40, 0.10, 0.20))
-    repeatability_reps: int = 10
-    tracking_speed: float = 0.2
+    repeatability_reps: int = bounded(10, low=2)
+    tracking_speed: float = positive(0.2)
 
 
 @dataclass(frozen=True)
@@ -149,28 +137,20 @@ def _mapping(section, path: str, known=None) -> dict:
     return section
 
 
-def _number(value, path: str, integer: bool = False, positive: bool = False,
-            non_negative: bool = False):
+def _number(value, path: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value!r}")
     if integer and value != int(value):
         raise ConfigError(path, f"expected an integer, got {value!r}")
-    v = int(value) if integer else float(value)
-    if positive and v <= 0:
-        raise ConfigError(path, f"must be strictly positive, got {v}")
-    if (integer or non_negative) and v < 0:   # every integer field is a count
-        raise ConfigError(path, f"must be >= 0, got {v}")
-    return v
+    return int(value) if integer else float(value)
 
 
-def _vector(value, n: int, path: str, positive: bool = False,
-            non_negative: bool = False) -> list[float]:
+def _vector(value, n: int, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(path, f"expected a {n}-vector")
-    return [_number(x, f"{path}[{i}]", positive=positive, non_negative=non_negative)
-            for i, x in enumerate(value)]
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 def _transform(section, path: str, known=("xyz", "rpy")) -> SE3:
@@ -194,9 +174,8 @@ def _value(value, like, path: str, name: str):
             raise ConfigError(path, f"expected a list of {len(like[0])}-vectors")
         return tuple(tuple(_vector(v, len(like[0]), f"{path}[{i}]")) for i, v in enumerate(value))
     if isinstance(like, tuple):
-        return tuple(_vector(value, len(like), path, positive=name in _POSITIVE,
-                             non_negative=name in _NON_NEGATIVE))
-    v = _number(value, path, integer=isinstance(like, int), positive=name in _POSITIVE)
+        return tuple(_vector(value, len(like), path))
+    v = _number(value, path, integer=isinstance(like, int))
     return math.radians(v) if name in _DEGREES else v
 
 
@@ -233,8 +212,22 @@ def _build(cls, section, path: str, **given):
         elif f.name in _REQUIRED or f.default is f.default_factory is MISSING:
             raise ConfigError(prefix + key, "missing required field")
     _mapping(section, path, known)   # rejects the keys that name no field
+    return _new(cls, path, section, **kwargs)
+
+
+def _new(cls, path: str, section: dict, **kwargs):
+    """`cls(**kwargs)` for the mapping `section` at key `path`. A BoundError becomes
+    a ConfigError naming the key its field reads, quoting the value as written
+    there (in degrees for a `_deg` key); any other ValueError one naming `path`."""
     try:
         return cls(**kwargs)
+    except BoundError as exc:
+        key = _key(exc.name)
+        written = section.get(key, exc.value)   # else a default, in the field's units
+        if exc.index is not None:
+            key, written = f"{key}[{exc.index}]", written[exc.index]
+        raise ConfigError(f"{path}.{key}" if path else key,
+                          f"must be {exc.bound}, got {written!r}") from None
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -255,13 +248,10 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
         limits = _vector(_require(j, "limits", path), 2, f"{path}.limits")
         if not limits[0] < limits[1]:
             raise ConfigError(f"{path}.limits", "lower limit must be < upper limit")
-        speed = ({"max_velocity": _number(j["max_velocity"], f"{path}.max_velocity",
-                                          positive=True)} if "max_velocity" in j else {})
-        try:
-            joints.append(Joint(name=name, origin=_transform(j, path, None), axis=tuple(axis),
-                                lower=limits[0], upper=limits[1], **speed))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+        speed = ({"max_velocity": _number(j["max_velocity"], f"{path}.max_velocity")}
+                 if "max_velocity" in j else {})
+        joints.append(_new(Joint, path, j, name=name, origin=_transform(j, path, None),
+                           axis=tuple(axis), lower=limits[0], upper=limits[1], **speed))
     tool = _transform(arm.get("tool"), "arm.tool")
     chain = KinematicChain(tuple(joints), tool)
 
@@ -305,13 +295,7 @@ def parse_config(raw: dict, name_hint: str = "config") -> RobotConfig:
     controllers = _mapping(raw.get("controllers"), "controllers", CONTROLLERS)
     noise = _mapping(raw.get("noise"), "noise", ("base", "arm"))
     skills = _build(SkillSettings, raw.get("skills"), "skills")
-    if skills.pregrasp_height < skills.grasp_height:
-        raise ConfigError("skills.pregrasp_height", "must be >= skills.grasp_height")
-    if skills.pre_push_height < skills.push_height:
-        raise ConfigError("skills.pre_push_height", "must be >= skills.push_height")
     benchmark = _build(BenchmarkSettings, raw.get("benchmark"), "benchmark")
-    if benchmark.repeatability_reps < 2:
-        raise ConfigError("benchmark.repeatability_reps", "need at least 2 repetitions")
 
     return RobotConfig(
         name=name,
@@ -404,14 +388,16 @@ def load_scene(path) -> Scene:
         yaw = _number(obj.get("yaw", 0.0), f"{path_i}.yaw")
         pose = SE3.from_xyz_rpy(xyz, [0.0, 0.0, yaw])
         if shape == "box":
+            keys = ["size[0]", "size[1]", "size[2]"]
             dims = tuple(_vector(_require(obj, "size", path_i), 3, f"{path_i}.size"))
         elif shape == "cylinder":
-            dims = tuple(_number(_require(obj, key, path_i), f"{path_i}.{key}", positive=True)
-                         for key in ("radius", "height"))
+            keys = ["radius", "height"]
+            dims = tuple(_number(_require(obj, key, path_i), f"{path_i}.{key}") for key in keys)
         else:
             raise ConfigError(f"{path_i}.shape", f"unknown shape {shape!r}")
         try:
             objects.append(SceneObject(shape=shape, pose=pose, dimensions=dims))
-        except ValueError as exc:
-            raise ConfigError(path_i, str(exc)) from None
+        except BoundError as exc:   # the shape and the count of dimensions are right
+            raise ConfigError(f"{path_i}.{keys[exc.index]}",
+                              f"must be {exc.bound}, got {dims[exc.index]!r}") from None
     return _build(Scene, raw, "", objects=objects)

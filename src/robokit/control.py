@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ControlError
+from .errors import Bounded, ControlError, bounded, positive
 from .geometry import Pose2D, angle_diff, planar_distance, wrap_angle
 from .trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
                          generate_sharp_trajectory, generate_smooth_trajectory)
@@ -111,21 +111,19 @@ def lqr_backward_pass(traj: TimedTrajectory, params: LqrParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LqrParams:
-    """Diagonal tracking-cost weights (each q >= 0, each r > 0, qf_scale > 0) and reference."""
+class LqrParams(Bounded):
+    """Diagonal tracking-cost weights and the reference generator."""
 
-    q: tuple = (5.0, 5.0, 1.0)
-    r: tuple = (1.0, 0.5)
-    qf_scale: float = 10.0
+    q: tuple = bounded((5.0, 5.0, 1.0))
+    r: tuple = positive((1.0, 0.5))
+    qf_scale: float = positive(10.0)
     trajectory: str = "sharp"
 
     def __post_init__(self):
         for name, value, n in (("q", self.q, 3), ("r", self.r, 2)):
             if len(value) != n:
                 raise ValueError(f"LqrParams.{name} needs {n} weights, got {len(value)}")
-        if not (all(w >= 0 for w in self.q) and all(w > 0 for w in self.r)
-                and self.qf_scale > 0):
-            raise ValueError("LqrParams needs every q >= 0, every r > 0 and qf_scale > 0")
+        super().__post_init__()
 
 
 def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:
@@ -146,10 +144,10 @@ def lqr_track_step(state: Pose2D, t: int, traj: TimedTrajectory, gains: np.ndarr
 # --- proportional position controller ---------------------------------------
 
 @dataclass(frozen=True)
-class ProportionalParams:
-    kp_lin: float = 1.0
-    kp_ang: float = 3.0
-    bearing_threshold: float = math.radians(2.0)
+class ProportionalParams(Bounded):
+    kp_lin: float = positive(1.0)
+    kp_ang: float = positive(3.0)
+    bearing_threshold: float = positive(math.radians(2.0))
 
 
 ALIGN, DRIVE, FINAL_ROTATE, DONE = "align", "drive", "final-rotate", "done"
@@ -196,29 +194,18 @@ CLEARANCE_CAP = 0.5   # m; DWA clearance beyond this scores 1.0
 
 
 @dataclass(frozen=True)
-class DwaParams:
+class DwaParams(Bounded):
     """Sampling window, rollout horizon, and score weights for the DWA controller."""
 
-    samples_v: int = 11
-    samples_omega: int = 21
-    horizon: float = 1.5           # s of forward simulation
-    weight_heading: float = 0.8
-    weight_distance: float = 0.2
-    weight_velocity: float = 0.1
-    weight_clearance: float = 0.3
-    position_tolerance: float = 0.015
-    heading_tolerance: float = math.radians(1.5)
-
-    def __post_init__(self):
-        for name in ("samples_v", "samples_omega"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError(f"DwaParams.{name} must be >= 1")
-        for name in ("horizon", "position_tolerance", "heading_tolerance"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"DwaParams.{name} must be positive and finite")
-        for name in ("weight_heading", "weight_distance", "weight_velocity", "weight_clearance"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"DwaParams.{name} must be >= 0 and finite")
+    samples_v: int = bounded(11, low=1)
+    samples_omega: int = bounded(21, low=1)
+    horizon: float = positive(1.5)           # s of forward simulation
+    weight_heading: float = bounded(0.8)
+    weight_distance: float = bounded(0.2)
+    weight_velocity: float = bounded(0.1)
+    weight_clearance: float = bounded(0.3)
+    position_tolerance: float = positive(0.015)
+    heading_tolerance: float = positive(math.radians(1.5))
 
 
 def dwa_window(current: ControlCommand, limits: VelocityLimits, dt: float,

@@ -64,9 +64,6 @@ class Pose2D:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return Pose2D(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.theta)
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta])
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IkConvergenceError
+from .errors import Bounded, IkConvergenceError, bounded, positive
 from .geometry import SE3, TWO_PI, rotation_vector, skew, zyx_matrix
 
 # orientation weight balancing rad against m in the DLS error vector
@@ -32,7 +32,7 @@ _CLOSED_FORM_AXES = np.array([[0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0], [1, 0,
 
 
 @dataclass(frozen=True)
-class Joint:
+class Joint(Bounded):
     """Revolute joint: fixed transform from parent, unit rotation axis, position/velocity limits."""
 
     name: str
@@ -40,7 +40,7 @@ class Joint:
     axis: tuple[float, float, float]
     lower: float
     upper: float
-    max_velocity: float = 2.0
+    max_velocity: float = positive(2.0)
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float)
@@ -49,8 +49,7 @@ class Joint:
             raise ValueError(f"joint {self.name}: axis must be unit-norm, got |axis|={n:.6g}")
         if not self.lower < self.upper:
             raise ValueError(f"joint {self.name}: lower limit must be < upper limit")
-        if not 0 < self.max_velocity < math.inf:
-            raise ValueError(f"joint {self.name}: max_velocity must be positive and finite")
+        super().__post_init__()
 
 
 def _read_only(values) -> np.ndarray:
@@ -123,24 +122,15 @@ class KinematicChain:
 
 
 @dataclass(frozen=True)
-class IkParams:
-    """IK settings: the tolerances every solution is checked against, then the DLS
-    settings. All values are positive and finite except `restarts`, which may be 0."""
+class IkParams(Bounded):
+    """IK settings: the tolerances every solution is checked against, then the DLS settings."""
 
-    position_tolerance: float = 1e-6   # m
-    orientation_tolerance: float = 1e-6  # rad
-    max_iterations: int = 300
-    damping: float = 0.02
-    step_clamp: float = 0.5  # rad, per-joint per-iteration
-    restarts: int = 3
-
-    def __post_init__(self):
-        for name in ("position_tolerance", "orientation_tolerance", "max_iterations",
-                     "damping", "step_clamp"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"IkParams.{name} must be positive and finite")
-        if not 0 <= self.restarts < math.inf:
-            raise ValueError("IkParams.restarts must be >= 0")
+    position_tolerance: float = positive(1e-6)   # m
+    orientation_tolerance: float = positive(1e-6)  # rad
+    max_iterations: int = positive(300)
+    damping: float = positive(0.02)
+    step_clamp: float = positive(0.5)  # rad, per-joint per-iteration
+    restarts: int = bounded(3)
 
 
 def _frames_fast(chain: KinematicChain, q: np.ndarray):

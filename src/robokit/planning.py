@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPathError
+from .errors import Bounded, NoPathError, positive
 from .geometry import Pose2D
 
 FREE, OCCUPIED, UNKNOWN = 0, 1, 2
@@ -31,16 +31,15 @@ _CODES[[ord(ch) for ch in _VALUES]] = list(_VALUES.values())
 
 
 @dataclass
-class OccupancyGrid:
+class OccupancyGrid(Bounded):
     """Planar cell map; `cells[ix, iy]` with ix along +x, iy along +y, origin at the (0,0) cell corner."""
 
-    resolution: float
+    resolution: float = positive()
     origin: Pose2D
     cells: np.ndarray
 
     def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        super().__post_init__()
         if self.origin.theta != 0:
             raise ValueError(f"origin theta must be 0 (rotated grids are not supported), "
                              f"got {self.origin.theta!r}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import Bounded, bounded, positive
 from .geometry import SE3, Pose2D
 from .kinematics import KinematicChain, forward_kinematics, jacobian
 from .trajectory import ControlCommand, VelocityLimits, unicycle_arc
@@ -45,36 +46,27 @@ def subsystem_rngs(seed: int) -> dict[str, np.random.Generator]:
 
 
 @dataclass(frozen=True)
-class BaseNoiseModel:
+class BaseNoiseModel(Bounded):
     """Multiplicative per-step noise fractions for the base.
 
     actuation_* scale the realized velocity relative to the command; odometry_*
     scale the measured (integrated) velocity relative to the realized one.
     """
 
-    actuation_v: float = 0.0
-    actuation_omega: float = 0.0
-    odometry_v: float = 0.0
-    odometry_omega: float = 0.0
-
-    def __post_init__(self):
-        for name in ("actuation_v", "actuation_omega", "odometry_v", "odometry_omega"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"BaseNoiseModel.{name} must be >= 0")
+    actuation_v: float = bounded(0.0)
+    actuation_omega: float = bounded(0.0)
+    odometry_v: float = bounded(0.0)
+    odometry_omega: float = bounded(0.0)
 
 
 ZERO_BASE_NOISE = BaseNoiseModel()
 
 
 @dataclass(frozen=True)
-class ArmNoiseModel:
+class ArmNoiseModel(Bounded):
     """Per-axis Cartesian settling noise (m), realized through the Jacobian pseudoinverse."""
 
-    sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not all(s >= 0 for s in self.sigma):
-            raise ValueError("ArmNoiseModel.sigma components must be >= 0")
+    sigma: tuple[float, float, float] = bounded((0.0, 0.0, 0.0))
 
 
 ZERO_ARM_NOISE = ArmNoiseModel()
@@ -151,10 +143,13 @@ class ArmSim:
         limit times `dt`. The per-axis perturbation is mapped to joint space through the position
         Jacobian pseudoinverse, so the attained end-effector position equals the
         commanded one plus (to first order) the drawn Cartesian offset. A NaN,
-        infinite or non-positive `dt` raises ValueError.
+        infinite or non-positive `dt`, or a NaN, infinite or negative `max_time`,
+        raises ValueError.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if not 0.0 <= max_time < math.inf:
+            raise ValueError(f"max_time must be >= 0 and finite, got {max_time!r}")
         target = self.chain.check_dimension(target)
         for j, x in zip(self.chain.joints, target):
             if not j.lower - 1e-12 <= x <= j.upper + 1e-12:
@@ -189,7 +184,7 @@ TAG_FLOOR, TAG_OBJECT = 0, 1
 
 
 @dataclass(frozen=True)
-class SceneObject:
+class SceneObject(Bounded):
     """Box or cylinder resting in the scene; pose at the solid's center.
 
     Box dimensions: (lx, ly, lz) full edge lengths.
@@ -198,24 +193,23 @@ class SceneObject:
 
     shape: str
     pose: SE3
-    dimensions: tuple
+    dimensions: tuple = positive()
 
     def __post_init__(self):
         if self.shape not in ("box", "cylinder"):
             raise ValueError(f"unknown shape {self.shape!r}")
-        if not all(0 < d < math.inf for d in self.dimensions):
-            raise ValueError("dimensions must be positive and finite")
+        super().__post_init__()
         n = 3 if self.shape == "box" else 2
         if len(self.dimensions) != n:
             raise ValueError(f"{self.shape} needs {n} dimensions")
 
 
 @dataclass
-class Scene:
+class Scene(Bounded):
     """Objects plus a circular floor patch around the origin."""
 
     objects: list = field(default_factory=list)
-    floor_radius: float = 1.5
+    floor_radius: float = positive(1.5)
 
 
 def _box_surface_samples(obj: SceneObject, density: float,
@@ -273,19 +267,18 @@ def _cylinder_surface_samples(obj: SceneObject, density: float,
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(Bounded):
     """Pinhole model: focal lengths and principal point in pixels."""
 
-    fx: float
-    fy: float
+    fx: float = positive()
+    fy: float = positive()
     cx: float
     cy: float
-    width: int = 640
-    height: int = 480
+    width: int = positive(640)
+    height: int = positive(480)
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        super().__post_init__()
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IkConvergenceError, NoClustersError
+from .errors import Bounded, IkConvergenceError, NoClustersError, bounded, positive
 from .geometry import SE3
+from .kinematics import bearing_yaw
 from .robot import MotionResult, Robot
 from .sim import CameraIntrinsics
 
@@ -42,15 +43,9 @@ class ImageGrasp:
 
 
 @dataclass(frozen=True)
-class DbscanParams:
-    eps: float
-    min_pts: int
-
-    def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
-        if not 1 <= self.min_pts < math.inf:
-            raise ValueError("min_pts must be >= 1")
+class DbscanParams(Bounded):
+    eps: float = positive()
+    min_pts: int = bounded(low=1)
 
 
 @dataclass(frozen=True)
@@ -81,23 +76,15 @@ def project_point(p_cam, intrinsics: CameraIntrinsics) -> tuple[float, float, fl
             intrinsics.fy * y / z + intrinsics.cy, z)
 
 
-def camera_yaw(cam_to_base: SE3) -> float:
-    """Azimuth of the camera's image-right axis projected on the base xy-plane."""
-    right = cam_to_base.rotate_vector(np.array([1.0, 0.0, 0.0]))
-    if abs(right[0]) < 1e-12 and abs(right[1]) < 1e-12:
-        return 0.0
-    return math.atan2(right[1], right[0])
-
-
 def backproject_grasp(grasp: ImageGrasp, intrinsics: CameraIntrinsics,
                       cam_to_base: SE3) -> tuple[np.ndarray, float]:
     """Convert an image-space grasp into (base-frame position, gripper roll)."""
     grasp.validate(intrinsics)
     p_cam = backproject_pixel(grasp.u, grasp.v, grasp.depth, intrinsics)
     position = cam_to_base.transform_point(p_cam)
-    roll = math.atan2(math.sin(grasp.angle + camera_yaw(cam_to_base)),
-                      math.cos(grasp.angle + camera_yaw(cam_to_base)))
-    return position, roll
+    # the azimuth of the camera's image-right axis on the base xy-plane
+    yaw = bearing_yaw(cam_to_base.rotate_vector(np.array([1.0, 0.0, 0.0])))
+    return position, math.atan2(math.sin(grasp.angle + yaw), math.cos(grasp.angle + yaw))
 
 
 def _run_phases(robot: Robot, phases) -> tuple[MotionResult, dict]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlError
+from .errors import Bounded, ControlError, positive
 from .geometry import Pose2D, set_field, wrap_angle
 
 
@@ -48,18 +48,13 @@ class ControlCommand:
 
 
 @dataclass(frozen=True)
-class VelocityLimits:
+class VelocityLimits(Bounded):
     """Symmetric velocity and acceleration bounds for the base."""
 
-    v_max: float = 0.3       # m/s
-    omega_max: float = 1.0   # rad/s
-    a_max: float = 0.5       # m/s^2
-    alpha_max: float = 2.0   # rad/s^2
-
-    def __post_init__(self):
-        for name in ("v_max", "omega_max", "a_max", "alpha_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"VelocityLimits.{name} must be positive")
+    v_max: float = positive(0.3)       # m/s
+    omega_max: float = positive(1.0)   # rad/s
+    a_max: float = positive(0.5)       # m/s^2
+    alpha_max: float = positive(2.0)   # rad/s^2
 
     def rate_limited(self, prev: ControlCommand, cmd: ControlCommand,
                      dt: float) -> ControlCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from robokit import config
 from robokit.config import (bundled_config_dir, load_config, load_scene, parse_config,
                             resolve_config_path)
-from robokit.errors import ConfigError
+from robokit.errors import BoundError, ConfigError
 
 import yaml
 
@@ -262,6 +263,15 @@ def test_pre_push_below_push_rejected(upper):
     ("controllers.lqr.q[0]", -1),
     ("controllers.lqr.q[2]", -1e-9),
     ("noise.arm.sigma[0]", -1e-4),
+    ("camera.depth_sigma", -0.1),
+    ("base.heading_tolerance_deg", -1),
+    ("controllers.proportional.kp_lin", -1),
+    ("skills.dbscan_min_pts", 0),
+    ("benchmark.tracking_speed", 0),
+    ("noise.base.actuation_v", -0.1),
+    ("controllers.dwa.weight_heading", -1),
+    ("arm.joints[0].max_velocity", 0),
+    ("arm.joints[0].xyz[0]", "x"),
 ])
 def test_malformed_value_names_exact_key(path, value):
     raw = locobot_raw()
@@ -273,6 +283,101 @@ def test_malformed_value_names_exact_key(path, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     assert exc.value.key == path
+
+
+def test_degree_key_error_quotes_the_value_as_written():
+    # the field holds radians; the message quotes the file's degrees
+    raw = locobot_raw()
+    raw["base"]["heading_tolerance_deg"] = -1.5
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == "base.heading_tolerance_deg: must be > 0, got -1.5"
+
+
+def _instances():
+    """One valid instance of every class that declares field bounds."""
+    from robokit.benchmark import BaseTrialProtocol
+    from robokit.config import BaseSettings, BenchmarkSettings, CameraSettings, SkillSettings
+    from robokit.control import DwaParams, LqrParams, ProportionalParams
+    from robokit.geometry import SE3, Pose2D
+    from robokit.kinematics import IkParams, Joint
+    from robokit.planning import OccupancyGrid
+    from robokit.sim import ArmNoiseModel, BaseNoiseModel, CameraIntrinsics, Scene, SceneObject
+    from robokit.skills import DbscanParams
+    from robokit.trajectory import VelocityLimits
+
+    return {cls.__name__: obj for cls, obj in [
+        (c, c()) for c in (VelocityLimits, BaseSettings, CameraSettings, SkillSettings,
+                           BenchmarkSettings, LqrParams, ProportionalParams, DwaParams,
+                           IkParams, BaseNoiseModel, ArmNoiseModel, Scene)] + [
+        (CameraIntrinsics, CameraIntrinsics(600.0, 600.0, 320.0, 240.0)),
+        (SceneObject, SceneObject("box", SE3(), (0.1, 0.1, 0.1))),
+        (DbscanParams, DbscanParams(0.03, 10)),
+        (Joint, Joint("j", SE3(), (0.0, 0.0, 1.0), -1.0, 1.0)),
+        (OccupancyGrid, OccupancyGrid(0.1, Pose2D(), [[0]])),
+        (BaseTrialProtocol, BaseTrialProtocol("linear", ())),
+    ]}
+
+
+# every declared bound, written out by hand so that a dropped declaration fails:
+# class, field, low (a number or the name of the field it compares with), strict
+BOUNDS = [
+    ("VelocityLimits", "v_max", 0, True), ("VelocityLimits", "omega_max", 0, True),
+    ("VelocityLimits", "a_max", 0, True), ("VelocityLimits", "alpha_max", 0, True),
+    ("BaseSettings", "dt", 0, True), ("BaseSettings", "position_tolerance", 0, True),
+    ("BaseSettings", "heading_tolerance", 0, True), ("BaseSettings", "timeout", 0, True),
+    ("CameraSettings", "max_range", 0, True), ("CameraSettings", "density", 0, True),
+    ("CameraSettings", "depth_sigma", 0, False),
+    ("CameraIntrinsics", "fx", 0, True), ("CameraIntrinsics", "fy", 0, True),
+    ("CameraIntrinsics", "width", 0, True), ("CameraIntrinsics", "height", 0, True),
+    ("SkillSettings", "max_range", 0, True), ("SkillSettings", "dbscan_eps", 0, True),
+    ("SkillSettings", "dbscan_min_pts", 1, False), ("SkillSettings", "grasp_height", 0, True),
+    ("SkillSettings", "pregrasp_height", "grasp_height", False),
+    ("SkillSettings", "push_height", 0, True),
+    ("SkillSettings", "pre_push_height", "push_height", False),
+    ("BenchmarkSettings", "repeatability_reps", 2, False),
+    ("BenchmarkSettings", "tracking_speed", 0, True),
+    ("LqrParams", "q", 0, False), ("LqrParams", "r", 0, True),
+    ("LqrParams", "qf_scale", 0, True),
+    ("ProportionalParams", "kp_lin", 0, True), ("ProportionalParams", "kp_ang", 0, True),
+    ("ProportionalParams", "bearing_threshold", 0, True),
+    ("DwaParams", "samples_v", 1, False), ("DwaParams", "samples_omega", 1, False),
+    ("DwaParams", "horizon", 0, True), ("DwaParams", "weight_heading", 0, False),
+    ("DwaParams", "weight_distance", 0, False), ("DwaParams", "weight_velocity", 0, False),
+    ("DwaParams", "weight_clearance", 0, False), ("DwaParams", "position_tolerance", 0, True),
+    ("DwaParams", "heading_tolerance", 0, True),
+    ("IkParams", "position_tolerance", 0, True), ("IkParams", "orientation_tolerance", 0, True),
+    ("IkParams", "max_iterations", 0, True), ("IkParams", "damping", 0, True),
+    ("IkParams", "step_clamp", 0, True), ("IkParams", "restarts", 0, False),
+    ("BaseNoiseModel", "actuation_v", 0, False), ("BaseNoiseModel", "actuation_omega", 0, False),
+    ("BaseNoiseModel", "odometry_v", 0, False), ("BaseNoiseModel", "odometry_omega", 0, False),
+    ("ArmNoiseModel", "sigma", 0, False),
+    ("Scene", "floor_radius", 0, True),
+    ("SceneObject", "dimensions", 0, True),
+    ("DbscanParams", "eps", 0, True), ("DbscanParams", "min_pts", 1, False),
+    ("Joint", "max_velocity", 0, True),
+    ("OccupancyGrid", "resolution", 0, True),
+    ("BaseTrialProtocol", "trials", 1, False),
+]
+
+
+@pytest.mark.parametrize("cls, name, low, strict", BOUNDS,
+                         ids=[f"{cls}.{name}" for cls, name, _, _ in BOUNDS])
+def test_declared_bounds(cls, name, low, strict):
+    obj = _instances()[cls]
+    bound = getattr(obj, low) if isinstance(low, str) else low
+    entry = isinstance(getattr(obj, name), tuple)   # a tuple field: bound its first entry
+
+    def make(v):
+        value = (v,) + getattr(obj, name)[1:] if entry else v
+        return replace(obj, **{name: value})
+
+    if not strict:
+        make(bound)   # the bound itself is allowed
+    for v in (math.nan, math.inf, bound if strict else bound - 1e-9):
+        with pytest.raises(BoundError) as exc:
+            make(v)
+        assert exc.value.field == (f"{name}[0]" if entry else name), v
 
 
 def test_formats_doc_example_lists_every_setting():

@@ -145,7 +145,8 @@ def test_lqr_beats_random_linear_policies():
 
 def test_lqr_params_validation():
     for bad in ({"r": (1.0, 0.0)}, {"r": (0.0, 0.5)}, {"q": (5.0, -1e-9, 1.0)},
-                {"qf_scale": 0.0}, {"q": (1.0, math.nan, 1.0)}, {"r": (1.0, math.nan)}):
+                {"qf_scale": 0.0}, {"q": (1.0, math.nan, 1.0)}, {"r": (1.0, math.nan)},
+                {"q": (math.inf, 1.0, 1.0)}, {"qf_scale": math.inf}):
         with pytest.raises(ValueError, match="LqrParams"):
             LqrParams(**bad)
     for bad, field in (({"q": (1.0, 2.0)}, "q"), ({"r": (1.0, 0.5, 1.0)}, "r")):

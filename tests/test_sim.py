@@ -337,12 +337,15 @@ def test_settle_matches_reference(case):
         assert sim._rng.random() == ref._rng.random()
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan, math.inf])
-def test_settle_rejects_bad_dt(dt):
+@pytest.mark.parametrize("name, value", [
+    ("dt", 0.0), ("dt", -0.05), ("dt", math.nan), ("dt", math.inf),
+    ("max_time", -1.0), ("max_time", math.nan), ("max_time", math.inf),
+], ids=["0.0", "-0.05", "nan", "inf", "max_time--1.0", "max_time-nan", "max_time-inf"])
+def test_settle_rejects_bad_dt(name, value):
     cfg = load_config("locobot")
     sim = ArmSim(cfg.chain, q0=cfg.home)
-    with pytest.raises(ValueError, match="^dt must be"):
-        sim.settle(np.array([0.3, 0.4, -0.6, 0.3, 0.0]), dt)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sim.settle(np.array([0.3, 0.4, -0.6, 0.3, 0.0]), **{name: value})
     assert sim.time == 0.0 and np.array_equal(sim.q, cfg.home)
 
 
