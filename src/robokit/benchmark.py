@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RobotConfig
 from .control import DEFAULT_CONTROLLER, tracking_law
-from .errors import Bounded, IkConvergenceError, bounded
+from .errors import Bounded, IkConvergenceError, bounded, one_of
 from .geometry import SE3, Pose2D, angle_diff, planar_distance
 from .kinematics import forward_kinematics, inverse_kinematics
 from .robot import make_robot
@@ -30,14 +30,9 @@ MOTION_CLASSES = ("linear", "rotation", "combined")
 class BaseTrialProtocol(Bounded):
     """One motion class: its target poses and the number of trials per target."""
 
-    motion_class: str
+    motion_class: str = one_of(*MOTION_CLASSES)
     targets: tuple
     trials: int = bounded(5, low=1)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.motion_class not in MOTION_CLASSES:
-            raise ValueError(f"unknown motion class {self.motion_class!r}")
 
 
 def default_protocols(trials: int = 5) -> tuple[BaseTrialProtocol, ...]:

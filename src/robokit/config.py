@@ -2,10 +2,10 @@
 
 See docs/formats.md for the full schema. Each settings section is built from
 its dataclass (`_build`): omitted keys keep the dataclass defaults, given keys
-are checked here for their type and against the bounds their fields declare
-(`errors.bounded`), unknown keys are rejected, and errors name the offending
-key (e.g. ``base.v_max``). Required structure (subsystem flags, the arm chain
-and base limits when those are enabled) has no default.
+are checked here for their YAML form and then against the rule their field
+declares (`errors.bounded`, `errors.one_of`), unknown keys are rejected, and
+errors name the offending key (e.g. ``base.v_max``). Required structure
+(subsystem flags, the arm chain and base limits when enabled) has no default.
 
 Bundled configs: ``locobot``, ``locobot_lite``, ``sawyer_sim``. The
 ``ROBOKIT_CONFIG_DIR`` environment variable prepends a search directory for
@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .control import CONTROLLERS, LqrParams  # noqa: F401  (LqrParams is re-exported)
-from .errors import BoundError, Bounded, ConfigError, bounded, positive
+from .errors import BoundError, Bounded, CapabilityError, ConfigError, bounded, holds_int, positive
 from .geometry import SE3
 from .kinematics import IkParams, Joint, KinematicChain
 from .sim import ArmNoiseModel, BaseNoiseModel, CameraIntrinsics, Scene, SceneObject
@@ -37,7 +37,6 @@ SUBSYSTEMS = ("arm", "base", "camera", "gripper")
 _DEGREES = {"bearing_threshold", "heading_tolerance"}
 # fields a config must give although their dataclass has a default
 _REQUIRED = {"v_max", "omega_max"}
-_CHOICES = {"trajectory": ("sharp", "smooth")}
 # keys of the structure that is not built from a dataclass
 _TOP_KEYS = ("schema", "name", "subsystems", "frames", "arm", "base", "controllers", "camera",
              "noise", "skills", "benchmark")
@@ -114,7 +113,8 @@ class RobotConfig:
 
     def controller_params(self, name: str):
         if name not in self.controllers:
-            raise KeyError(f"unknown controller {name!r}; configured: {sorted(self.controllers)}")
+            raise CapabilityError(f"unknown controller {name!r}; "
+                                  f"configured: {sorted(self.controllers)}")
         return self.controllers[name]
 
 
@@ -142,9 +142,7 @@ def _number(value, path: str, integer: bool = False):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value!r}")
-    if integer and value != int(value):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return int(value) if integer else float(value)
+    return int(value) if integer and value == int(value) else float(value)
 
 
 def _vector(value, n: int, path: str) -> list[float]:
@@ -160,14 +158,12 @@ def _transform(section, path: str, known=("xyz", "rpy")) -> SE3:
     return SE3.from_xyz_rpy(xyz, rpy)
 
 
-def _value(value, like, path: str, name: str):
-    """`value` checked against `like`, the field's default: a string, a list of
-    n-vectors (the repeatability poses), an n-vector, an int or a float."""
+def _value(value, like, path: str, name: str, integer: bool = False):
+    """`value` checked against `like`, the field's default: a string, a list of n-vectors
+    (the repeatability poses), an n-vector or a number; an `integer` reads 11.0 as 11."""
     if isinstance(like, str):
-        choices = _CHOICES.get(name)
-        if not isinstance(value, str) or (choices and value not in choices):
-            expected = f"one of {choices}" if choices else "a string"
-            raise ConfigError(path, f"expected {expected}, got {value!r}")
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
         return value
     if isinstance(like, tuple) and like and isinstance(like[0], tuple):
         if not isinstance(value, list):
@@ -175,7 +171,7 @@ def _value(value, like, path: str, name: str):
         return tuple(tuple(_vector(v, len(like[0]), f"{path}[{i}]")) for i, v in enumerate(value))
     if isinstance(like, tuple):
         return tuple(_vector(value, len(like), path))
-    v = _number(value, path, integer=isinstance(like, int))
+    v = _number(value, path, integer)
     return math.radians(v) if name in _DEGREES else v
 
 
@@ -208,7 +204,7 @@ def _build(cls, section, path: str, **given):
         known.append(key)
         if key in section:
             like = 0.0 if f.default is MISSING else f.default
-            kwargs[f.name] = _value(section[key], like, prefix + key, f.name)
+            kwargs[f.name] = _value(section[key], like, prefix + key, f.name, holds_int(f))
         elif f.name in _REQUIRED or f.default is f.default_factory is MISSING:
             raise ConfigError(prefix + key, "missing required field")
     _mapping(section, path, known)   # rejects the keys that name no field

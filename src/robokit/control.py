@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Bounded, ControlError, bounded, positive
+from .errors import Bounded, ControlError, bounded, one_of, positive
 from .geometry import Pose2D, angle_diff, planar_distance, wrap_angle
 from .trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
                          generate_sharp_trajectory, generate_smooth_trajectory)
@@ -117,13 +117,7 @@ class LqrParams(Bounded):
     q: tuple = bounded((5.0, 5.0, 1.0))
     r: tuple = positive((1.0, 0.5))
     qf_scale: float = positive(10.0)
-    trajectory: str = "sharp"
-
-    def __post_init__(self):
-        for name, value, n in (("q", self.q, 3), ("r", self.r, 2)):
-            if len(value) != n:
-                raise ValueError(f"LqrParams.{name} needs {n} weights, got {len(value)}")
-        super().__post_init__()
+    trajectory: str = one_of("sharp", "smooth", default="sharp")
 
 
 def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:

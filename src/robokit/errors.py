@@ -1,12 +1,13 @@
-"""Exception types shared across the toolkit, and the bounds that settings and
+"""Exception types shared across the toolkit, and the rules that settings and
 parameter dataclasses declare on their fields: `bounded(default, low=0)` for a
-value >= `low` (`low` may name an earlier field), `positive(default)` for one
-> 0. A dataclass deriving from `Bounded` checks after `__init__` that each such
-field, and each entry of a tuple field, is finite and meets its bound, and
-raises `BoundError` naming the field otherwise.
+finite value >= `low` (`low` may name an earlier field), `positive(default)` for
+one > 0, `one_of(*options)` for one of a set. A bounded `int` field takes only
+integers (no bool), and a tuple default fixes the length. A `Bounded` dataclass
+checks each rule after `__init__`, and raises `BoundError` naming the field.
 """
 
 import math
+import numbers
 from dataclasses import MISSING, field, fields
 from functools import cache, partial
 
@@ -24,14 +25,16 @@ class ConfigError(RobokitError, ValueError):
 
 
 class BoundError(ValueError):
-    """A value that is not finite or breaks its field's bound. `field` names it, e.g.
-    ``r[1]`` (`name` and `index`, None for a number); `value` is the whole field."""
+    """A value that breaks its field's rule: `bound`, as a config error words it ("> 0",
+    "an integer >= 1", "a 3-vector", "one of 'a', 'b'"; a float must also be finite).
+    `field` names it, e.g. ``r[1]`` (`name`, `index`); `value` is the whole field."""
 
     def __init__(self, owner: str, name: str, index: int | None, bound: str, value):
         self.name, self.index, self.bound, self.value = name, index, bound, value
         self.field = name if index is None else f"{name}[{index}]"
         entry = value if index is None else value[index]
-        super().__init__(f"{owner}.{self.field} must be finite and {bound}, got {entry!r}")
+        rule = f"finite and {bound}" if bound[0] in "<>" else bound
+        super().__init__(f"{owner}.{self.field} must be {rule}, got {entry!r}")
 
 
 class CapabilityError(RobokitError):
@@ -71,10 +74,23 @@ def bounded(default=MISSING, low=0, strict: bool = False):
 positive = partial(bounded, strict=True)
 
 
+def one_of(*options, default=MISSING):
+    """A dataclass field that must equal one of `options`."""
+    return field(default=default, metadata={"options": options})
+
+
+def holds_int(f) -> bool:
+    """Whether dataclass field `f` is annotated `int` (a str under postponed annotations)."""
+    return f.type in (int, "int")
+
+
 @cache
-def _bounds(cls) -> tuple:
-    return tuple((f.name, f.metadata["low"], f.metadata["strict"])
-                 for f in fields(cls) if "low" in f.metadata)
+def _rules(cls) -> tuple:
+    """(name, low, strict, integer, length, options) of each field of `cls` that declares a
+    rule; `length` is that of a tuple default, else None."""
+    return tuple((f.name, f.metadata.get("low"), f.metadata.get("strict"), holds_int(f),
+                  len(f.default) if isinstance(f.default, tuple) else None,
+                  f.metadata.get("options")) for f in fields(cls) if f.metadata)
 
 
 class Bounded:
@@ -82,10 +98,19 @@ class Bounded:
     its own calls this `__post_init__` from its own."""
 
     def __post_init__(self):
-        for name, low, strict in _bounds(type(self)):
+        owner = type(self).__name__
+        for name, low, strict, integer, length, options in _rules(type(self)):
             value = getattr(self, name)
+            if options is not None:
+                if value not in options:
+                    raise BoundError(owner, name, None,
+                                     f"one of {', '.join(map(repr, options))}", value)
+                continue
+            if length and not (isinstance(value, (tuple, list)) and len(value) == length):
+                raise BoundError(owner, name, None, f"a {length}-vector", value)
             limit = getattr(self, low) if isinstance(low, str) else low
             for i, v in (enumerate(value) if isinstance(value, (tuple, list)) else [(None, value)]):
-                if not (math.isfinite(v) and (v > limit if strict else v >= limit)):
-                    raise BoundError(type(self).__name__, name, i,
-                                     f"{'>' if strict else '>='} {low}", value)
+                if not ((isinstance(v, numbers.Integral) and not isinstance(v, bool)) if integer
+                        else math.isfinite(v)) or not (v > limit if strict else v >= limit):
+                    raise BoundError(owner, name, i, f"{'an integer ' * integer}"
+                                                     f"{'>' if strict else '>='} {low}", value)

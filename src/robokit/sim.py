@@ -18,8 +18,8 @@ No output moves, because only `DiffDriveSim` reads the two base streams.
 
 The camera draws every floor sample over the range disk, so its stream does
 not depend on the view. It culls the draws by range and azimuth before taking
-the square root and the trig, then to the frustum, then by the exact test;
-each cull is wider than the next, so no point the exact test keeps is lost.
+the square root and the trig, then by the exact test; the first cull is wider
+than the second, so no point the exact test keeps is lost.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Bounded, bounded, positive
+from .errors import Bounded, bounded, one_of, positive
 from .geometry import SE3, Pose2D
 from .kinematics import KinematicChain, forward_kinematics, jacobian
 from .trajectory import ControlCommand, VelocityLimits, unicycle_arc
@@ -191,13 +191,11 @@ class SceneObject(Bounded):
     Cylinder dimensions: (radius, height).
     """
 
-    shape: str
+    shape: str = one_of("box", "cylinder")
     pose: SE3
     dimensions: tuple = positive()
 
     def __post_init__(self):
-        if self.shape not in ("box", "cylinder"):
-            raise ValueError(f"unknown shape {self.shape!r}")
         super().__post_init__()
         n = 3 if self.shape == "box" else 2
         if len(self.dimensions) != n:
@@ -283,12 +281,12 @@ class CameraIntrinsics(Bounded):
             raise ValueError("principal point must lie inside the image")
 
 
-def _in_image(xc, yc, zc, intrinsics: CameraIntrinsics, pad: float = 0.0) -> np.ndarray:
-    """Mask of camera-frame points whose pixel lies in the image widened by `pad` px."""
+def _in_image(xc, yc, zc, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Mask of camera-frame points whose pixel lies in the image."""
     with np.errstate(divide="ignore", invalid="ignore"):
         u = intrinsics.fx * xc / zc + intrinsics.cx
         v = intrinsics.fy * yc / zc + intrinsics.cy
-    return (u >= -pad) & (u < intrinsics.width + pad) & (v >= -pad) & (v < intrinsics.height + pad)
+    return (u >= 0) & (u < intrinsics.width) & (v >= 0) & (v < intrinsics.height)
 
 
 def _azimuth_sector(camera_pose: SE3, intrinsics: CameraIntrinsics,
@@ -319,9 +317,8 @@ def _norm(x, y, z) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def _floor_points(camera_pose: SE3, inv: SE3, intrinsics: CameraIntrinsics,
-                  floor_radius: float, density: float, max_range: float,
-                  rng: np.random.Generator) -> np.ndarray:
+def _floor_points(camera_pose: SE3, intrinsics: CameraIntrinsics, floor_radius: float,
+                  density: float, max_range: float, rng: np.random.Generator) -> np.ndarray:
     """The floor samples over the range disk below the camera that may pass the exact
     test in `render_point_cloud`: every sample that test keeps, and a few more."""
     n = int(round(math.pi * max_range ** 2 * density))
@@ -348,12 +345,7 @@ def _floor_points(camera_pose: SE3, inv: SE3, intrinsics: CameraIntrinsics,
     rad, ang = max_range * np.sqrt(u[i]), ang[i]
     fx_ = cam_pos[0] + rad * np.cos(ang)
     fy_ = cam_pos[1] + rad * np.sin(ang)
-    # on z = 0 the camera frame is affine in (x, y). The cull widens the exact test
-    # by 1e-6 m in depth and 1 px in the image, so rounding never drops a point that
-    # test keeps
-    xc, yc, zc = (r[0] * fx_ + r[1] * fy_ + t for r, t in zip(inv.R, inv.translation))
-    i = np.flatnonzero((fx_ ** 2 + fy_ ** 2 <= floor_radius ** 2)
-                       & (zc > 0.01 - 1e-6) & _in_image(xc, yc, zc, intrinsics, pad=1.0))
+    i = np.flatnonzero(fx_ ** 2 + fy_ ** 2 <= floor_radius ** 2)
     return np.column_stack([fx_[i], fy_[i], np.zeros(len(i))])
 
 
@@ -369,12 +361,11 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     points first. Object-vs-object occlusion is not modeled.
 
     The floor is drawn over the whole range disk, whatever the camera sees, so
-    the random stream stays fixed. Its samples are culled in three stages: by
+    the random stream stays fixed. Its samples are culled in two stages: by
     range and azimuth on the raw draws, before the square root and the trig;
-    then to the frustum; then by the exact test every point passes. Each cull
-    is wider than the test after it, so the cloud and the stream are those of
-    testing every sample exactly. A render with no point in view returns a
-    (0, 3) cloud and no tags.
+    then by the exact test every point passes. The first cull is wider than the
+    second, so the cloud and the stream are those of testing every sample
+    exactly. A render with no point in view returns a (0, 3) cloud and no tags.
 
     `density` and `max_range` must be positive and finite, `depth_sigma` >= 0
     and finite; any other value raises ValueError naming the argument.
@@ -386,7 +377,6 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
         raise ValueError(f"depth_sigma must be >= 0 and finite, got {depth_sigma!r}")
     rng = rng or np.random.default_rng(3)
     cam_pos = camera_pose.translation
-    inv = camera_pose.inverse()
 
     samples = [(_box_surface_samples if obj.shape == "box" else _cylinder_surface_samples)(
         obj, density, rng) for obj in scene.objects]
@@ -394,13 +384,12 @@ def render_point_cloud(scene: Scene, camera_pose: SE3, intrinsics: CameraIntrins
     normals = np.vstack([np.zeros((0, 3))] + [n for _, n in samples])
     obj_pts = obj_pts[np.einsum("ij,ij->i", normals, cam_pos - obj_pts) > 0.0]
 
-    floor_pts = _floor_points(camera_pose, inv, intrinsics, scene.floor_radius, density,
-                              max_range, rng)
+    floor_pts = _floor_points(camera_pose, intrinsics, scene.floor_radius, density, max_range, rng)
 
     pts = np.vstack([obj_pts, floor_pts])
     tags = np.repeat(np.array([TAG_OBJECT, TAG_FLOOR], dtype=np.int8),
                      [len(obj_pts), len(floor_pts)])
-    x, y, z = inv.transform_point(pts).T
+    x, y, z = camera_pose.inverse().transform_point(pts).T
     i = np.flatnonzero((z > 0.01) & _in_image(x, y, z, intrinsics)
                        & (_norm(x, y, z) <= max_range))
     pts, tags = pts[i], tags[i]

@@ -374,10 +374,100 @@ def test_declared_bounds(cls, name, low, strict):
 
     if not strict:
         make(bound)   # the bound itself is allowed
-    for v in (math.nan, math.inf, bound if strict else bound - 1e-9):
+    # an int field rejects bound - 1e-9 by its kind alone, so step below it by 1
+    below = bound - (1 if isinstance(getattr(obj, name), int) else 1e-9)
+    for v in (math.nan, math.inf, bound if strict else below):
         with pytest.raises(BoundError) as exc:
             make(v)
         assert exc.value.field == (f"{name}[0]" if entry else name), v
+
+
+# every field annotated int, by hand: each must hold an integer, not a float or a bool
+INTEGERS = [
+    ("SkillSettings", "dbscan_min_pts"), ("BenchmarkSettings", "repeatability_reps"),
+    ("CameraIntrinsics", "width"), ("CameraIntrinsics", "height"),
+    ("DwaParams", "samples_v"), ("DwaParams", "samples_omega"),
+    ("IkParams", "max_iterations"), ("IkParams", "restarts"),
+    ("DbscanParams", "min_pts"), ("BaseTrialProtocol", "trials"),
+]
+
+
+@pytest.mark.parametrize("cls, name", INTEGERS, ids=[f"{c}.{n}" for c, n in INTEGERS])
+def test_integer_fields_hold_integers(cls, name):
+    obj = _instances()[cls]
+    value = getattr(obj, name)
+    assert getattr(replace(obj, **{name: np.int64(value)}), name) == value
+    for bad in (value + 0.5, float(value), True):
+        with pytest.raises(BoundError, match=f"^{cls}.{name} must be an integer ") as exc:
+            replace(obj, **{name: bad})
+        assert exc.value.field == name
+
+
+def test_integer_table_lists_every_int_field():
+    from dataclasses import fields
+    declared = {(cls, f.name) for cls, obj in _instances().items() for f in fields(obj)
+                if f.type in (int, "int")}
+    assert declared == set(INTEGERS)
+
+
+# every field whose tuple default fixes its length, by hand
+LENGTHS = [("LqrParams", "q", 3), ("LqrParams", "r", 2), ("ArmNoiseModel", "sigma", 3)]
+
+
+@pytest.mark.parametrize("cls, name, n", LENGTHS, ids=[f"{c}.{n}" for c, n, _ in LENGTHS])
+def test_tuple_fields_hold_their_length(cls, name, n):
+    obj = _instances()[cls]
+    for bad in ((1e-3,) * (n - 1), (1e-3,) * (n + 1), 1e-3):
+        with pytest.raises(BoundError, match=f"^{cls}.{name} must be a {n}-vector, got") as exc:
+            replace(obj, **{name: bad})
+        assert exc.value.field == name
+    replace(obj, **{name: [1e-3] * n})   # a list of the right length is taken
+
+
+# every field with a fixed set of values, by hand
+CHOICES = [
+    ("LqrParams", "trajectory", ("sharp", "smooth")),
+    ("BaseTrialProtocol", "motion_class", ("linear", "rotation", "combined")),
+    ("SceneObject", "shape", ("box", "cylinder")),
+]
+
+
+@pytest.mark.parametrize("cls, name, options", CHOICES, ids=[f"{c}.{n}" for c, n, _ in CHOICES])
+def test_choice_fields_take_only_their_options(cls, name, options):
+    obj = _instances()[cls]
+    for bad in ("smoth", options[0].upper(), None, 1):
+        with pytest.raises(BoundError) as exc:
+            replace(obj, **{name: bad})
+        assert exc.value.field == name
+        assert str(exc.value) == (f"{cls}.{name} must be one of "
+                                  f"{', '.join(map(repr, options))}, got {bad!r}")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("controllers.dwa.samples_v", 2.5, "must be an integer >= 1, got 2.5"),
+    ("controllers.dwa.samples_v", 0, "must be an integer >= 1, got 0"),
+    ("controllers.lqr.trajectory", "smoth", "must be one of 'sharp', 'smooth', got 'smoth'"),
+    ("camera.intrinsics.width", 640.5, "must be an integer > 0, got 640.5"),
+    ("arm.ik.restarts", 1.5, "must be an integer >= 0, got 1.5"),
+])
+def test_field_rule_errors_keep_their_key(path, value, message):
+    raw = locobot_raw()
+    *sections, key = path.split(".")
+    node = raw
+    for s in sections:
+        node = node[s]
+    node[key] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.key == path
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_integral_float_reads_as_int():
+    raw = locobot_raw()
+    raw["controllers"]["dwa"]["samples_v"] = 7.0
+    samples = parse_config(raw).controllers["dwa"].samples_v
+    assert samples == 7 and type(samples) is int
 
 
 def test_formats_doc_example_lists_every_setting():

@@ -149,8 +149,8 @@ def test_lqr_params_validation():
                 {"q": (math.inf, 1.0, 1.0)}, {"qf_scale": math.inf}):
         with pytest.raises(ValueError, match="LqrParams"):
             LqrParams(**bad)
-    for bad, field in (({"q": (1.0, 2.0)}, "q"), ({"r": (1.0, 0.5, 1.0)}, "r")):
-        with pytest.raises(ValueError, match=f"^LqrParams.{field} needs"):
+    for bad, field, n in (({"q": (1.0, 2.0)}, "q", 3), ({"r": (1.0, 0.5, 1.0)}, "r", 2)):
+        with pytest.raises(ValueError, match=f"^LqrParams.{field} must be a {n}-vector"):
             LqrParams(**bad)
     LqrParams(q=(0.0, 5.0, 0.0))   # a zero state weight is allowed
 

@@ -60,7 +60,7 @@ def test_go_to_absolute_current_pose_immediate(locobot_cfg):
 
 def test_unknown_controller_name(locobot_cfg):
     bot = fresh_robot(locobot_cfg)
-    with pytest.raises(KeyError):
+    with pytest.raises(CapabilityError, match=r"unknown controller 'pid'; configured: \['dwa', "):
         bot.base.go_to_absolute([1, 0, 0], "pid")
 
 
