@@ -86,8 +86,6 @@ def holds_int(f) -> bool:
 
 @cache
 def _rules(cls) -> tuple:
-    """(name, low, strict, integer, length, options) of each field of `cls` that declares a
-    rule; `length` is that of a tuple default, else None."""
     return tuple((f.name, f.metadata.get("low"), f.metadata.get("strict"), holds_int(f),
                   len(f.default) if isinstance(f.default, tuple) else None,
                   f.metadata.get("options")) for f in fields(cls) if f.metadata)
