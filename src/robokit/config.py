@@ -251,11 +251,21 @@ def _parse_chain(arm: dict) -> tuple[KinematicChain, np.ndarray, dict, IkParams]
     tool = _transform(arm.get("tool"), "arm.tool")
     chain = KinematicChain(tuple(joints), tool)
 
-    home = np.asarray(_vector(arm.get("home", [0.0] * chain.dof), chain.dof, "arm.home"))
-    named = {}
-    for key, val in _mapping(arm.get("named_poses"), "arm.named_poses").items():
-        named[key] = np.asarray(_vector(val, chain.dof, f"arm.named_poses.{key}"))
+    home = _joint_vector(arm.get("home", [0.0] * chain.dof), chain, "arm.home")
+    named = {key: _joint_vector(val, chain, f"arm.named_poses.{key}")
+             for key, val in _mapping(arm.get("named_poses"), "arm.named_poses").items()}
     return chain, home, named, _build(IkParams, arm.get("ik"), "arm.ik")
+
+
+def _joint_vector(value, chain: KinematicChain, path: str) -> np.ndarray:
+    """A joint vector of the chain's length, each entry within its joint's limits (an entry
+    outside them is quoted as written)."""
+    q = _vector(value, chain.dof, path)
+    for i, (j, x) in enumerate(zip(chain.joints, q)):
+        if not j.lower <= x <= j.upper:
+            raise ConfigError(f"{path}[{i}]", f"joint {j.name}: {value[i]!r} outside its limits "
+                                              f"[{j.lower!r}, {j.upper!r}]")
+    return np.asarray(q)
 
 
 def _parse_camera(section) -> CameraSettings:

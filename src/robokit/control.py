@@ -61,13 +61,6 @@ def _linearized(theta, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     return A, B
 
 
-def euler_step(state: Pose2D, cmd: ControlCommand, dt: float) -> Pose2D:
-    """One first-order Euler step; `linearize_dynamics` returns its exact Jacobians."""
-    return Pose2D(state.x + dt * cmd.v * math.cos(state.theta),
-                  state.y + dt * cmd.v * math.sin(state.theta),
-                  state.theta + dt * cmd.omega)
-
-
 def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
     """Finite-horizon discrete Riccati recursion; returns gains K_t, one per step.
 

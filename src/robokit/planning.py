@@ -14,6 +14,7 @@ Unknown cells are treated as obstacles for planning and collision checks.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -235,6 +236,34 @@ def _chamfer_pass(d0: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = math.sqrt(2.0)
+_MOVES = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+_last_codes = (None, b"")   # (mask shape and bytes, move codes) of the last mask astar saw
+
+
+def _move_codes(blocked: np.ndarray) -> bytes:
+    """One byte per cell of the mask padded by one blocked cell per side, in flat order.
+
+    Bit k is set when move `_MOVES[k]` leads to a free cell and, for a diagonal,
+    both orthogonal cells beside it are free (no corner cutting). Padding cells get 0.
+    """
+    w, h = blocked.shape
+    free = np.zeros((w + 2, h + 2), dtype=bool)
+    free[1:-1, 1:-1] = ~blocked
+    codes = np.zeros((w + 2, h + 2), dtype=np.uint8)
+    inner = codes[1:-1, 1:-1]
+    for k, (dx, dy) in enumerate(_MOVES):
+        ok = free[1 + dx:w + 1 + dx, 1 + dy:h + 1 + dy]
+        if dx and dy:
+            ok = ok & free[1 + dx:w + 1 + dx, 1:h + 1] & free[1:w + 1, 1 + dy:h + 1 + dy]
+        inner |= ok.astype(np.uint8) << k
+    return codes.tobytes()
+
+
+@functools.lru_cache(maxsize=16)
+def _move_table(stride: int) -> tuple:
+    """For each move code, its allowed moves as (flat offset, dx, dy, cost), in `_MOVES` order."""
+    moves = [(dx * stride + dy, dx, dy, _SQRT2 if dx and dy else 1.0) for dx, dy in _MOVES]
+    return tuple(tuple(m for k, m in enumerate(moves) if code >> k & 1) for code in range(256))
 
 
 def astar(blocked: np.ndarray, start: tuple[int, int],
@@ -246,30 +275,35 @@ def astar(blocked: np.ndarray, start: tuple[int, int],
     (f, h, cell index) first, making the expansion order deterministic.
     Octile-distance heuristic (admissible and consistent for these costs).
     Cells are flat indices into the mask padded by one blocked cell per side,
-    which orders them as (ix, iy) does and needs no bounds test.
+    which orders them as (ix, iy) does. Each cell's allowed moves come from its
+    byte in `_move_codes`; the codes of the last mask seen are kept, keyed on the
+    mask's shape and bytes, so queries on one map build them once.
     """
+    global _last_codes
     if blocked[start] or blocked[goal]:
         raise NoPathError("start or goal cell is blocked")
-    stride = blocked.shape[1] + 2
-    wall = np.pad(np.asarray(blocked, dtype=bool), 1, constant_values=True).tobytes()
-    moves = [(dx * stride + dy, dx, dy, _SQRT2 if dx and dy else 1.0)
-             for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    mask = np.asarray(blocked, dtype=bool)
+    key = (mask.shape, mask.tobytes())
+    if _last_codes[0] != key:
+        _last_codes = (key, _move_codes(mask))
+    codes = _last_codes[1]
+    stride = mask.shape[1] + 2
+    table = _move_table(stride)
     gx, gy = goal[0] + 1, goal[1] + 1
     src, dst = (start[0] + 1) * stride + start[1] + 1, gx * stride + gy
+    k = _SQRT2 - 2.0
+    inf = math.inf
 
-    def heuristic(cx, cy):
-        dx = abs(cx - gx)
-        dy = abs(cy - gy)
-        return (dx + dy) + (_SQRT2 - 2.0) * min(dx, dy)
-
+    ax, ay = abs(start[0] + 1 - gx), abs(start[1] + 1 - gy)
+    h0 = (ax + ay) + k * min(ax, ay)
     g = {src: 0.0}
     parent = {src: None}
-    closed = set()
-    h0 = heuristic(start[0] + 1, start[1] + 1)
+    closed = bytearray(len(codes))
     open_heap = [(h0, h0, src)]
+    push, pop = heapq.heappush, heapq.heappop
     while open_heap:
-        _, _, cell = heapq.heappop(open_heap)
-        if cell in closed:
+        _, _, cell = pop(open_heap)
+        if closed[cell]:
             continue
         if cell == dst:
             path = []
@@ -278,47 +312,72 @@ def astar(blocked: np.ndarray, start: tuple[int, int],
                 path.append((cx - 1, cy - 1))
                 cell = parent[cell]
             return path[::-1], g[dst]
-        closed.add(cell)
+        closed[cell] = 1
         cx, cy = divmod(cell, stride)
+        cx -= gx
+        cy -= gy
         gc = g[cell]
-        for move, dx, dy, step in moves:
-            n = cell + move     # a diagonal move's two orthogonal cells are n - dy and cell + dy
-            if wall[n] or (dx and dy and (wall[n - dy] or wall[cell + dy])):
-                continue
+        for move, dx, dy, step in table[codes[cell]]:
+            n = cell + move
             ng = gc + step
-            if n not in g or ng < g[n] - 1e-12:
+            if ng < g.get(n, inf) - 1e-12:
                 g[n] = ng
                 parent[n] = cell
-                hn = heuristic(cx + dx, cy + dy)
-                heapq.heappush(open_heap, (ng + hn, hn, n))
+                ax = abs(cx + dx)
+                ay = abs(cy + dy)
+                hn = (ax + ay) + k * (ax if ax < ay else ay)
+                push(open_heap, (ng + hn, hn, n))
     raise NoPathError("goal not reachable from start")
+
+
+def _visible_from(blocked: np.ndarray, grid: OccupancyGrid, p: tuple[float, float],
+                  qs: list[tuple[float, float]]) -> list[bool]:
+    """`line_of_sight(blocked, grid, p, q)` for each q in qs, from one pass over all samples.
+
+    The segment p-q is sampled at n + 1 points t = k / n, k = 0..n, with n the
+    number of quarter cells in its length (at least 1). It is visible when every
+    sample lies in a free cell on the grid.
+    """
+    if not qs:
+        return []
+    x0, y0 = p
+    step = 0.25 * grid.resolution
+    ns = [max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / step))) for x1, y1 in qs]
+    counts = np.array(ns) + 1
+    starts = np.zeros(len(qs), dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    t = (np.arange(counts.sum()) - np.repeat(starts, counts)) / np.repeat(ns, counts)
+    q = np.array(qs, dtype=float)
+    ix = np.floor((x0 + t * np.repeat(q[:, 0] - x0, counts) - grid.origin.x)
+                  / grid.resolution).astype(np.intp)
+    iy = np.floor((y0 + t * np.repeat(q[:, 1] - y0, counts) - grid.origin.y)
+                  / grid.resolution).astype(np.intp)
+    off = (ix < 0) | (ix >= grid.width) | (iy < 0) | (iy >= grid.height)
+    bad = off | blocked[np.where(off, 0, ix), np.where(off, 0, iy)]
+    return (~np.logical_or.reduceat(bad, starts)).tolist()
 
 
 def line_of_sight(blocked: np.ndarray, grid: OccupancyGrid,
                   p0: tuple[float, float], p1: tuple[float, float]) -> bool:
-    """True when every quarter-cell sample of the segment p0-p1 lies in a free cell on the grid."""
-    (x0, y0), (x1, y1) = p0, p1
-    n = max(1, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / (0.25 * grid.resolution))))
-    t = np.arange(n + 1) / n
-    ix = np.floor((x0 + t * (x1 - x0) - grid.origin.x) / grid.resolution).astype(np.intp)
-    iy = np.floor((y0 + t * (y1 - y0) - grid.origin.y) / grid.resolution).astype(np.intp)
-    # each index is monotone in t, so the end samples bound all the others
-    if not (grid.in_bounds(ix[0], iy[0]) and grid.in_bounds(ix[-1], iy[-1])):
-        return False
-    return not blocked[ix, iy].any()
+    """True when every quarter-cell sample of the segment p0-p1 lies in a free cell on the grid
+    (the sampling is `_visible_from`'s)."""
+    return _visible_from(blocked, grid, p0, [p1])[0]
 
 
 def shortcut_path(points: list[tuple[float, float]], blocked: np.ndarray,
                   grid: OccupancyGrid) -> list[tuple[float, float]]:
-    """Greedy line-of-sight shortcutting: from each kept point, jump to the farthest visible one."""
+    """Greedy line-of-sight shortcutting: from each kept point, jump to the farthest visible one.
+
+    Each kept point i tests every later point from i + 2 on in one `_visible_from`
+    call and jumps to the last visible one, or else to i + 1.
+    """
     if len(points) <= 2:
         return points
     out = [points[0]]
     i = 0
     while i < len(points) - 1:
-        j = len(points) - 1
-        while j > i + 1 and not line_of_sight(blocked, grid, points[i], points[j]):
-            j -= 1
+        seen = _visible_from(blocked, grid, points[i], points[i + 2:])
+        j = max((i + 2 + k for k, v in enumerate(seen) if v), default=i + 1)
         out.append(points[j])
         i = j
     return out

@@ -67,15 +67,6 @@ def backproject_pixel(u: float, v: float, depth: float,
                      depth])
 
 
-def project_point(p_cam, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
-    """Inverse of backproject_pixel: camera-frame point to (u, v, depth)."""
-    x, y, z = np.asarray(p_cam, dtype=float)
-    if z <= 0:
-        raise ValueError("point behind the camera")
-    return (intrinsics.fx * x / z + intrinsics.cx,
-            intrinsics.fy * y / z + intrinsics.cy, z)
-
-
 def backproject_grasp(grasp: ImageGrasp, intrinsics: CameraIntrinsics,
                       cam_to_base: SE3) -> tuple[np.ndarray, float]:
     """Convert an image-space grasp into (base-frame position, gripper roll)."""

@@ -106,17 +106,6 @@ class TimedTrajectory:
     def control(self, k: int) -> ControlCommand:
         return ControlCommand(self.controls[k, 0], self.controls[k, 1])
 
-    def max_consistency_error(self) -> float:
-        """Largest one-step re-integration mismatch (m and rad combined max-norm)."""
-        worst = 0.0
-        for k in range(self.horizon):
-            p = integrate_unicycle(self.state(k), self.control(k), self.dt)
-            s = self.states[k + 1]
-            worst = max(worst,
-                        abs(p.x - s[0]), abs(p.y - s[1]),
-                        abs(wrap_angle(p.theta - s[2])))
-        return worst
-
 
 def _profile_rates(length: float, rate_max: float, accel_max: float, dt: float) -> np.ndarray:
     """Per-interval average rates of a trapezoidal profile covering `length` exactly.

@@ -463,6 +463,34 @@ def test_field_rule_errors_keep_their_key(path, value, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("section, name, i, value, message", [
+    ("home", None, 0, 640.5, "joint waist: 640.5 outside its limits [-3.1416, 3.1416]"),
+    ("home", None, 1, -1.86, "joint shoulder: -1.86 outside its limits [-1.85, 1.85]"),
+    ("home", None, 4, 4, "joint wrist_roll: 4 outside its limits [-3.1416, 3.1416]"),
+    ("named_poses", "overhead", 1, 50.0, "joint shoulder: 50.0 outside its limits [-1.85, 1.85]"),
+    ("named_poses", "reset", 3, 1.8000001,
+     "joint wrist_pitch: 1.8000001 outside its limits [-1.8, 1.8]"),
+])
+def test_joint_vector_outside_limits_names_the_entry(section, name, i, value, message):
+    raw = locobot_raw()
+    vector = raw["arm"][section] if name is None else raw["arm"][section][name]
+    vector[i] = value
+    path = f"arm.{section}" if name is None else f"arm.{section}.{name}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.key == f"{path}[{i}]"
+    assert str(exc.value) == f"{path}[{i}]: {message}"
+
+
+def test_joint_vector_on_its_limits_loads():
+    raw = locobot_raw()
+    raw["arm"]["home"] = [-3.1416, 1.85, -2.62, 1.80, 3.1416]
+    raw["arm"]["named_poses"]["edge"] = [3.1416, -1.85, 2.62, -1.80, -3.1416]
+    cfg = parse_config(raw)
+    np.testing.assert_array_equal(cfg.home, cfg.chain.lower_limits * [1, -1, 1, -1, -1])
+    np.testing.assert_array_equal(cfg.named_poses["edge"], cfg.chain.upper_limits * [1, -1, 1, -1, -1])
+
+
 def test_integral_float_reads_as_int():
     raw = locobot_raw()
     raw["controllers"]["dwa"]["samples_v"] = 7.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, DwaParams,
                              LqrParams, ProportionalParams, _linspace, dwa_scores, dwa_step,
-                             dwa_window, euler_step, linearize_dynamics, lqr_backward_pass,
+                             dwa_window, linearize_dynamics, lqr_backward_pass,
                              lqr_track_step, proportional_step, riccati_gains, tracking_error)
 from robokit.errors import ControlError
 from robokit.geometry import Pose2D
@@ -17,6 +17,13 @@ from robokit.trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
 
 LIMITS = VelocityLimits(v_max=0.3, omega_max=1.0, a_max=0.5, alpha_max=2.0)
 DT = 0.05
+
+
+def euler_step(state: Pose2D, cmd: ControlCommand, dt: float) -> Pose2D:
+    """One first-order Euler step; `linearize_dynamics` returns its exact Jacobians."""
+    return Pose2D(state.x + dt * cmd.v * math.cos(state.theta),
+                  state.y + dt * cmd.v * math.sin(state.theta),
+                  state.theta + dt * cmd.omega)
 
 
 # --- linearization -----------------------------------------------------------

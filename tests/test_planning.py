@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from robokit.errors import NoPathError
 from robokit.geometry import Pose2D
-from robokit.planning import UNKNOWN, OccupancyGrid, astar, line_of_sight, plan_global
+from robokit.planning import (OCCUPIED, UNKNOWN, OccupancyGrid, _visible_from, astar, line_of_sight,
+                              plan_global, shortcut_path)
 
 
 def dijkstra_cost(blocked, start, goal):
@@ -145,6 +147,97 @@ def test_astar_matches_tuple_reference(blocked, where):
             astar(blocked, start, goal)
         return
     assert astar(blocked, start, goal) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), blocked_grids(), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+def test_visible_from_matches_scalar_reference(data, blocked, res, origin):
+    """One batched pass equals the scalar reference for every q: off-grid ends, q == p and
+    an empty list included."""
+    w, h = blocked.shape
+    grid = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), blocked.astype(np.int8))
+    ends = st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3))
+    fx, fy = data.draw(ends)
+    p = (origin[0] + fx * w * res, origin[1] + fy * h * res)
+    qs = [(origin[0] + a * w * res, origin[1] + b * h * res)
+          for a, b in data.draw(st.lists(ends, max_size=8))]
+    qs.insert(data.draw(st.integers(0, len(qs))), p)      # a zero-length segment
+    qs = qs[:data.draw(st.integers(0, len(qs)))]
+    assert _visible_from(blocked, grid, p, qs) == [reference_line_of_sight(blocked, grid, p, q)
+                                                   for q in qs]
+
+
+def _path_or_none(find, blocked, start, goal):
+    try:
+        return find(blocked, start, goal)
+    except NoPathError:
+        return None
+
+
+def test_astar_rebuilds_its_moves_when_the_mask_changes():
+    """A wall with its gap at one end, then the other, then the first again: each query
+    takes its own mask's detour, so moves kept from the previous mask would show."""
+    a = np.zeros((9, 9), dtype=bool)
+    a[4, 1:] = True
+    b = np.zeros((9, 9), dtype=bool)
+    b[4, :-1] = True
+    for blocked in (a, b, a, b.copy(), a.copy()):
+        assert astar(blocked, (0, 4), (8, 4)) == reference_astar(blocked, (0, 4), (8, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocked_grids(), st.integers(0, 2 ** 32 - 1))
+def test_astar_on_alternating_masks_matches_tuple_reference(a, seed):
+    """astar on mask A, then B (same shape, other cells), then A again equals the
+    reference each time."""
+    rng = np.random.default_rng(seed)
+    b = a.copy()
+    flip = rng.integers(0, a.size, max(1, a.size // 4))
+    b.flat[flip] = ~b.flat[flip]
+    w, h = a.shape
+    start = (int(rng.integers(w)), int(rng.integers(h)))
+    goal = (int(rng.integers(w)), int(rng.integers(h)))
+    for blocked in (a, b, a):
+        assert (_path_or_none(astar, blocked, start, goal)
+                == _path_or_none(reference_astar, blocked, start, goal))
+
+
+def sequential_shortcut_path(points, blocked, grid):
+    """The one-segment-at-a-time shortcut loop: from each kept point, test j = last, last - 1,
+    ... down to i + 2 and stop at the first visible one."""
+    if len(points) <= 2:
+        return points
+    out = [points[0]]
+    i = 0
+    while i < len(points) - 1:
+        j = len(points) - 1
+        while j > i + 1 and not reference_line_of_sight(blocked, grid, points[i], points[j]):
+            j -= 1
+        out.append(points[j])
+        i = j
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocked_grids(max_side=30), st.sampled_from([0.05, 0.1, 0.3, 1.0, 0.07]),
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+       st.tuples(*[st.floats(0, 1, exclude_max=True)] * 4))
+def test_shortcut_path_matches_sequential_loop(blocked, res, origin, where):
+    """Equal waypoints on A* paths over random grids, with start and goal anywhere in their
+    cells as plan_global gives them."""
+    w, h = blocked.shape
+    grid = OccupancyGrid(res, Pose2D(origin[0], origin[1], 0.0), blocked.astype(np.int8))
+    fx = [where[0] * w, where[2] * w]
+    fy = [where[1] * h, where[3] * h]
+    found = _path_or_none(astar, blocked, (int(fx[0]), int(fy[0])), (int(fx[1]), int(fy[1])))
+    if found is None:
+        return
+    cells, _ = found
+    points = [(origin[0] + fx[0] * res, origin[1] + fy[0] * res)]
+    points += [grid.cell_to_world(ix, iy) for ix, iy in cells[1:-1]]
+    points.append((origin[0] + fx[1] * res, origin[1] + fy[1] * res))
+    assert shortcut_path(points, blocked, grid) == sequential_shortcut_path(points, blocked, grid)
 
 
 def reference_set_box(grid, x0, y0, x1, y1, value):
@@ -488,3 +581,36 @@ def test_derived_fields_are_read_only():
         with pytest.raises(ValueError):
             field[0, 0] = 1
     assert g.inflate(0.2) is g.inflate(0.2)
+
+
+# sha256 of repr(pinned_plans()), computed with the one-segment-at-a-time shortcut loop
+# and the per-move wall tests in astar that preceded the batched pass and the move table
+PINNED_PLANS_SHA256 = "5a05f46d00d14fcc627250dd37def97af260459f1adee44982e5298a8d6ce605"
+
+
+def pinned_plans():
+    """32 seeded plan_global queries between free points of a cluttered 100 x 100 map."""
+    rng = np.random.default_rng(20191)
+    grid = OccupancyGrid.empty(100, 100, 0.05)
+    grid.cells[[0, -1], :] = grid.cells[:, [0, -1]] = OCCUPIED
+    for _ in range(45):
+        x, y = rng.integers(4, 92, 2)
+        w, h = rng.integers(2, 7, 2)
+        grid.cells[x:x + w, y:y + h] = OCCUPIED
+    blocked = grid.inflate(0.1)
+    points = [p for p in rng.uniform(0.0, 5.0, (200, 2)) if not blocked[grid.world_to_cell(*p)]]
+    paths = []
+    for a, b in zip(points[0:64:2], points[1:64:2]):
+        try:
+            paths.append(plan_global(grid, Pose2D(*a), Pose2D(*b), inflation=0.1))
+        except NoPathError:
+            paths.append(None)
+    return paths
+
+
+def test_plan_global_bytes_are_pinned():
+    """Every waypoint of 32 seeded queries, byte for byte: a planning change that moves
+    one must say so and re-pin this hash."""
+    paths = pinned_plans()
+    assert len(paths) == 32 and None not in paths
+    assert hashlib.sha256(repr(paths).encode()).hexdigest() == PINNED_PLANS_SHA256

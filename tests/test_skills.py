@@ -13,10 +13,19 @@ from robokit.robot import make_robot
 from robokit.sim import CameraIntrinsics, Scene, SceneObject
 from robokit.skills import (DbscanParams, ImageGrasp, NOISE, backproject_grasp,
                             backproject_pixel, dbscan, execute_grasp,
-                            execute_push, filter_cloud, project_point, push_pipeline,
+                            execute_push, filter_cloud, push_pipeline,
                             select_push)
 
 INTR = CameraIntrinsics(600.0, 600.0, 320.0, 240.0)
+
+
+def project_point(p_cam, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
+    """Inverse of backproject_pixel: camera-frame point to (u, v, depth)."""
+    x, y, z = np.asarray(p_cam, dtype=float)
+    if z <= 0:
+        raise ValueError("point behind the camera")
+    return (intrinsics.fx * x / z + intrinsics.cx,
+            intrinsics.fy * y / z + intrinsics.cy, z)
 
 
 @pytest.fixture(scope="module")
