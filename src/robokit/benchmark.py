@@ -273,7 +273,7 @@ def run_tracking_benchmark(config: RobotConfig, backend, shape="circle",
                            master_seed: int = 0,
                            trajectory: TimedTrajectory | None = None) -> TrackingReport:
     """Track a reference: a circle of the given radius, or an explicit `trajectory`."""
-    tracking_law(controller)  # raises KeyError for controllers that cannot track
+    tracking_law(controller)  # raises CapabilityError for controllers that cannot track
     ref = trajectory
     if ref is None:
         if shape != "circle":

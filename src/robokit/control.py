@@ -5,7 +5,9 @@ Three position controllers:
     * proportional — phase machine (align, drive, final-rotate) commanding
       rates proportional to the remaining error
     * LQR — time-varying gains from a backward Riccati recursion over the
-      Euler-linearized unicycle dynamics along a reference trajectory
+      Euler-linearized unicycle dynamics along a reference trajectory; the
+      recursion and the feedback step run in Python floats in a fixed order,
+      so their bytes do not depend on the BLAS or LAPACK build
     * DWA — samples (v, omega) pairs inside the acceleration-reachable
       window, forward-simulates them, and picks the best-scoring sample
 
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Bounded, ControlError, bounded, one_of, positive
+from .errors import Bounded, CapabilityError, ControlError, bounded, one_of, positive
 from .geometry import Pose2D, angle_diff, planar_distance, wrap_angle
 from .trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
                          generate_sharp_trajectory, generate_smooth_trajectory)
@@ -40,31 +42,17 @@ def linearize_dynamics(ref_state: Pose2D, ref_control: ControlCommand,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A, B = _linearized([ref_state.theta], np.array([ref_control.v], dtype=float), dt)
-    return A[0], B[0]
-
-
-def _linearized(theta, v: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """`linearize_dynamics` along a reference: (N, 3, 3) A and (N, 3, 2) B stacks for
-    N wrapped headings and forward speeds. The trigonometry is math.cos and
-    math.sin per heading, which np.cos may not match to the last bit."""
-    c = np.array([math.cos(t) for t in theta])
-    s = np.array([math.sin(t) for t in theta])
-    A = np.zeros((len(c), 3, 3))
-    A[:, (0, 1, 2), (0, 1, 2)] = 1.0
-    A[:, 0, 2] = -dt * v * s
-    A[:, 1, 2] = dt * v * c
-    B = np.zeros((len(c), 3, 2))
-    B[:, 0, 0] = dt * c
-    B[:, 1, 0] = dt * s
-    B[:, 2, 1] = dt
-    return A, B
+    c, s, v = math.cos(ref_state.theta), math.sin(ref_state.theta), ref_control.v
+    return (np.array([[1.0, 0.0, -dt * v * s], [0.0, 1.0, dt * v * c], [0.0, 0.0, 1.0]]),
+            np.array([[dt * c, 0.0], [dt * s, 0.0], [0.0, dt]]))
 
 
 def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
     """Finite-horizon discrete Riccati recursion; returns gains K_t, one per step.
 
     Convention: u_t = -K_t x_t minimizes sum(x'Qx + u'Ru) + terminal x'Qf x.
+    This is the general dense recursion; `lqr_backward_pass` runs the same one on
+    the unicycle's structure.
     """
     A_seq = np.asarray(A_seq, dtype=float)
     B_seq = np.asarray(B_seq, dtype=float)
@@ -89,18 +77,65 @@ def riccati_gains(A_seq, B_seq, Q, R, Qf) -> np.ndarray:
 
 
 def lqr_backward_pass(traj: TimedTrajectory, params: LqrParams) -> np.ndarray:
-    """Linearize along the reference and run the Riccati recursion with Q = diag(q),
-    R = diag(r) and Qf = qf_scale * Q; one 2x3 gain per control (u = u_ref - K e
-    convention)."""
+    """`riccati_gains` along the reference with Q = diag(q), R = diag(r) and
+    Qf = qf_scale * Q, on the structure of `linearize_dynamics`; one 2x3 gain per
+    control, (N, 2, 3) (u = u_ref - K e convention).
+
+    The recursion runs in Python floats, so its bytes do not depend on a BLAS or
+    LAPACK build. Each step linearizes about the wrapped reference heading th
+    (as traj.state(k) holds it) with c, s = math.cos(th), math.sin(th):
+    A = I + (a, b, 0) e3' with a = -dt*v*s, b = dt*v*c, and B has the three
+    nonzeros p = dt*c, q = dt*s (column v) and dt (column omega). P is kept as
+    its six upper entries, starting from Qf. A step computes, in this order:
+      1. W = B'P, and G = R + W B, symmetric with the off-diagonal W[0,2]*dt;
+      2. H = B'PA: W with a*W[:,0] + b*W[:,1] + W[:,2] as its last column;
+      3. K = G^-1 H by elimination with partial pivoting: the pivot row is the
+         row whose first entry is larger in magnitude, row 0 on a tie; a zero or
+         non-finite pivot raises ControlError;
+      4. P <- Q + (A'PA - H'K) on the six upper entries, where A'PA is P with
+         z = P (a, b, 0) added to its last row and column and a*z0 + b*z1 more
+         in the corner.
+    Every dot product sums its nonzero terms left to right in index order.
+    """
     if len(traj.states) < 2:
         raise ControlError("LQR needs a trajectory with at least 2 states")
     if not np.isfinite(traj.states[:-1]).all():
         raise ValueError("LQR reference states must be finite")
-    theta = [wrap_angle(t) for t in traj.states[:-1, 2].tolist()]   # as traj.state(k) holds it
-    A_seq, B_seq = _linearized(theta, traj.controls[:, 0], traj.dt)
-    Q = np.diag(np.asarray(params.q, dtype=float))
-    return riccati_gains(A_seq, B_seq, Q, np.diag(np.asarray(params.r, dtype=float)),
-                         params.qf_scale * Q)
+    dt = traj.dt
+    q0, q1, q2 = (float(x) for x in params.q)
+    r0, r1 = (float(x) for x in params.r)
+    qf = float(params.qf_scale)
+    P00, P01, P02, P11, P12, P22 = qf * q0, 0.0, 0.0, qf * q1, 0.0, qf * q2
+    theta = traj.states[:-1, 2].tolist()
+    speed = traj.controls[:, 0].tolist()
+    K = [None] * len(speed)
+    for t in reversed(range(len(speed))):
+        th = wrap_angle(theta[t])
+        c, s, v = math.cos(th), math.sin(th), speed[t]
+        a, b, p, q = -dt * v * s, dt * v * c, dt * c, dt * s
+        w00, w01, w02 = p * P00 + q * P01, p * P01 + q * P11, p * P02 + q * P12
+        w10, w11, w12 = dt * P02, dt * P12, dt * P22
+        g00, g01, g11 = r0 + (w00 * p + w01 * q), w02 * dt, r1 + w12 * dt
+        h02, h12 = w00 * a + w01 * b + w02, w10 * a + w11 * b + w12
+        row0, row1 = (g00, g01, w00, w01, h02), (g01, g11, w10, w11, h12)   # [G | H]
+        (d0, e, x0, x1, x2), (f0, f1, y0, y1, y2) = (
+            (row0, row1) if abs(g00) >= abs(g01) else (row1, row0))
+        m = f0 / d0 if d0 else math.nan   # a zero pivot fails the check below
+        d1 = f1 - m * e
+        if not (0.0 < abs(d0) < math.inf and 0.0 < abs(d1) < math.inf):
+            raise ControlError(f"Riccati step {t}: R + B'PB is singular or not finite")
+        k10, k11, k12 = (y0 - m * x0) / d1, (y1 - m * x1) / d1, (y2 - m * x2) / d1
+        k00, k01, k02 = (x0 - e * k10) / d0, (x1 - e * k11) / d0, (x2 - e * k12) / d0
+        K[t] = (k00, k01, k02, k10, k11, k12)
+        z0, z1, z2 = P00 * a + P01 * b, P01 * a + P11 * b, P02 * a + P12 * b
+        P00, P01, P02, P11, P12, P22 = (
+            q0 + (P00 - (w00 * k00 + w10 * k10)),
+            P01 - (w00 * k01 + w10 * k11),
+            P02 + z0 - (w00 * k02 + w10 * k12),
+            q1 + (P11 - (w01 * k01 + w11 * k11)),
+            P12 + z1 - (w01 * k02 + w11 * k12),
+            q2 + (P22 + z2 + z2 + (a * z0 + b * z1) - (h02 * k02 + h12 * k12)))
+    return np.array(K, dtype=float).reshape(-1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -113,19 +148,36 @@ class LqrParams(Bounded):
     trajectory: str = one_of("sharp", "smooth", default="sharp")
 
 
-def tracking_error(state: Pose2D, ref: Pose2D) -> np.ndarray:
-    """State minus reference with the heading component wrapped to (-pi, pi]."""
-    return np.array([state.x - ref.x, state.y - ref.y, angle_diff(state.theta, ref.theta)])
+def lqr_reference(traj: TimedTrajectory, params: LqrParams) -> list[tuple]:
+    """What `lqr_track_step` reads, prepared once per motion as Python floats: per
+    step the reference pose with its heading wrapped as traj.state(t) holds it, the
+    feedforward (v, omega) and the gain K_t of `lqr_backward_pass`, row-major. Empty
+    when the horizon is."""
+    if traj.horizon == 0:
+        return []
+    gains = lqr_backward_pass(traj, params).reshape(-1, 6).tolist()
+    return [(x, y, wrap_angle(th), v, w, *k) for (x, y, th), (v, w), k
+            in zip(traj.states.tolist(), traj.controls.tolist(), gains)]
 
 
-def lqr_track_step(state: Pose2D, t: int, traj: TimedTrajectory, gains: np.ndarray,
+def lqr_track_step(state: Pose2D, t: int, reference: list[tuple],
                    limits: VelocityLimits) -> ControlCommand:
-    """u = u_ref(t) - K_t * wrap(state - ref(t)), clamped to velocity limits."""
-    if not 0 <= t < traj.horizon:
-        raise IndexError(f"step {t} outside horizon {traj.horizon}")
-    e = tracking_error(state, traj.state(t))
-    u = traj.controls[t] - gains[t] @ e
-    return ControlCommand(u[0], u[1]).clamped(limits.v_max, limits.omega_max)
+    """u = u_ref(t) - K_t e with e = state - ref(t), its heading wrapped to (-pi, pi],
+    clamped to velocity limits; `reference` is `lqr_reference`'s."""
+    if not 0 <= t < len(reference):
+        raise IndexError(f"step {t} outside horizon {len(reference)}")
+    return _feedback(state, reference[t], limits)
+
+
+def _feedback(state: Pose2D, ref: tuple, limits: VelocityLimits) -> ControlCommand:
+    """`lqr_track_step` for one `lqr_reference` row, in Python floats: each row of
+    K e sums left to right. The final-approach hold calls it directly, so that
+    perfbench's trace of `lqr_track_step` counts reference steps only."""
+    x, y, th, v, w, k00, k01, k02, k10, k11, k12 = ref
+    e0, e1, e2 = state.x - x, state.y - y, angle_diff(state.theta, th)
+    return ControlCommand(v - (k00 * e0 + k01 * e1 + k02 * e2),
+                          w - (k10 * e0 + k11 * e1 + k12 * e2)
+                          ).clamped(limits.v_max, limits.omega_max)
 
 
 # --- proportional position controller ---------------------------------------
@@ -242,17 +294,23 @@ def _linspace(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def _rollout_endpoints(state: Pose2D, v: np.ndarray, w: np.ndarray, horizon: float | np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form endpoint of holding (v, w) constant for `horizon` seconds; an
-    (n, 1) column of horizons gives one row of endpoints per horizon."""
+                       ) -> tuple[np.ndarray, ...]:
+    """Closed-form endpoint (x, y, theta) of holding (v, w) constant for `horizon`
+    seconds, and cos and sin of its theta; an (n, 1) column of horizons gives one row
+    of endpoints per horizon."""
     th0 = state.theta
     c0, s0 = np.cos(th0), np.sin(th0)
     th1 = th0 + w * horizon
+    c1, s1 = np.cos(th1), np.sin(th1)
     small = np.abs(w) < 1e-9
-    ws = np.where(small, 1.0, w)
-    x = state.x + np.where(small, v * horizon * c0, v / ws * (np.sin(th1) - s0))
-    y = state.y + np.where(small, v * horizon * s0, -v / ws * (np.cos(th1) - c0))
-    return x, y, th1
+    if small.any():
+        ws = np.where(small, 1.0, w)
+        x = state.x + np.where(small, v * horizon * c0, v / ws * (s1 - s0))
+        y = state.y + np.where(small, v * horizon * s0, -v / ws * (c1 - c0))
+    else:   # the arc branch of the above, bit for bit
+        x = state.x + v / w * (s1 - s0)
+        y = state.y + -v / w * (c1 - c0)
+    return x, y, th1, c1, s1
 
 
 def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
@@ -267,10 +325,10 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
       velocity   v / v_max
       clearance  min rollout clearance / CLEARANCE_CAP (only when a grid is given)
     """
-    x, y, th = _rollout_endpoints(state, v, w, params.horizon)
+    x, y, th, cos_th, sin_th = _rollout_endpoints(state, v, w, params.horizon)
     brake = v * v / (2.0 * limits.a_max)
-    sx = x + brake * np.cos(th)
-    sy = y + brake * np.sin(th)
+    sx = x + brake * cos_th
+    sy = y + brake * sin_th
     d_stop = np.hypot(goal.x - sx, goal.y - sy)
     bearing = np.arctan2(goal.y - y, goal.x - x)
     turn = bearing - th
@@ -283,7 +341,7 @@ def dwa_scores(state: Pose2D, goal: Pose2D, v: np.ndarray, w: np.ndarray,
     if grid is not None:
         n_sub = max(2, int(math.ceil(params.horizon / 0.1)))
         ts = np.linspace(0.0, params.horizon, n_sub + 1)[1:]
-        px, py, _ = _rollout_endpoints(state, v, w, ts[:, None])   # one row per sub-step
+        px, py = _rollout_endpoints(state, v, w, ts[:, None])[:2]   # one row per sub-step
         c = grid.clearance_at(px, py)
         collided = np.any(c <= 0.0, axis=0)
         clearance = c.min(axis=0)
@@ -297,13 +355,16 @@ def dwa_step(state: Pose2D, current_vel: ControlCommand, goal: Pose2D,
              grid, params: DwaParams, limits: VelocityLimits,
              dt: float) -> ControlCommand | None:
     """Pick the best-scoring sample; ties break to lowest |omega|, then lowest v,
-    then the first in window order. None when every sample collides.
+    then the first in window order. None when no sample scores a finite number.
     """
     v, w = dwa_window(current_vel, limits, dt, params)
     score = dwa_scores(state, goal, v, w, limits, params, grid)
-    if not np.any(np.isfinite(score)):
-        return None
-    best = np.lexsort((v, np.abs(w), -score))[0]
+    best = int(score.argmax())   # the first NaN, if any
+    top = score[best]
+    if not (math.isfinite(top) and np.count_nonzero(score == top) == 1):
+        if not np.isfinite(score).any():
+            return None
+        best = np.lexsort((v, np.abs(w), -score))[0]
     return ControlCommand(float(v[best]), float(w[best]))
 
 
@@ -318,7 +379,7 @@ def dwa_step(state: Pose2D, current_vel: ControlCommand, goal: Pose2D,
 
 Law = Callable[[int, Pose2D, ControlCommand], "ControlCommand | str"]
 
-_K_HOLD = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.5]])  # LQR final approach without a reference
+_K_HOLD = (0.5, 0.0, 0.0, 0.0, 0.0, 1.5)   # LQR final approach without a reference; K row-major
 
 
 def within_tolerance(pose: Pose2D, goal: Pose2D, tol: tuple[float, float]) -> bool:
@@ -342,16 +403,15 @@ def lqr_law(start, goal, params, limits, dt, tol, grid) -> Law:
     gen = (generate_smooth_trajectory if params.trajectory == "smooth"
            else generate_sharp_trajectory)
     traj = gen(start, goal, limits, dt)
-    gains = lqr_backward_pass(traj, params) if traj.horizon > 0 else None
-    k_final = _K_HOLD if gains is None else gains[-1]
+    reference = lqr_reference(traj, params)
+    hold = (goal.x, goal.y, goal.theta, 0.0, 0.0, *(reference[-1][5:] if reference else _K_HOLD))
 
     def law(k, pose, current):
         if k < traj.horizon:
-            return lqr_track_step(pose, k, traj, gains, limits)
+            return lqr_track_step(pose, k, reference, limits)
         if within_tolerance(pose, goal, tol):
             return ""
-        u = -k_final @ tracking_error(pose, goal)
-        return ControlCommand(u[0], u[1]).clamped(limits.v_max, limits.omega_max)
+        return _feedback(pose, hold, limits)
     return law
 
 
@@ -373,10 +433,10 @@ def dwa_law(start, goal, params, limits, dt, tol, grid) -> Law:
 
 
 def lqr_tracking_law(traj, params, limits) -> Law:
-    gains = lqr_backward_pass(traj, params) if traj.horizon > 0 else None
+    reference = lqr_reference(traj, params)
 
     def law(k, pose, current):
-        return lqr_track_step(pose, k, traj, gains, limits) if k < traj.horizon else ""
+        return lqr_track_step(pose, k, reference, limits) if k < traj.horizon else ""
     return law
 
 
@@ -415,8 +475,8 @@ TRACKING_CONTROLLERS = tuple(name for name, c in CONTROLLERS.items() if c.tracki
 
 
 def tracking_law(name: str) -> Callable[..., Law]:
-    """The tracking-law factory registered as `name`; KeyError when there is none."""
+    """The tracking-law factory registered as `name`; CapabilityError when there is none."""
     factory = CONTROLLERS[name].tracking if name in CONTROLLERS else None
     if factory is None:
-        raise KeyError(f"tracking supports {'|'.join(TRACKING_CONTROLLERS)}, got {name!r}")
+        raise CapabilityError(f"tracking supports {'|'.join(TRACKING_CONTROLLERS)}, got {name!r}")
     return factory

@@ -9,6 +9,7 @@ from robokit.benchmark import (BaseTrialProtocol, cross_track_errors, default_pr
                                iso_position_repeatability, run_arm_repeatability,
                                run_base_benchmark, run_tracking_benchmark, trial_seed)
 from robokit.config import load_config
+from robokit.errors import CapabilityError
 from robokit.geometry import Pose2D
 from robokit.kinematics import forward_kinematics
 from robokit.report import (format_cell, read_csv, write_base_report,
@@ -208,7 +209,7 @@ def test_cross_track_oracle():
 
 def test_tracking_rejects_unknown_controller(locobot_cfg):
     backend = SimBackend(locobot_cfg, seed=0, zero_noise=True)
-    with pytest.raises(KeyError):
+    with pytest.raises(CapabilityError, match="tracking supports"):
         run_tracking_benchmark(locobot_cfg, backend, controller="dwa")
 
 

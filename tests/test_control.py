@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from robokit.control import (ALIGN, CLEARANCE_CAP, DONE, DRIVE, FINAL_ROTATE, DwaParams,
                              LqrParams, ProportionalParams, _linspace, dwa_scores, dwa_step,
-                             dwa_window, linearize_dynamics, lqr_backward_pass,
-                             lqr_track_step, proportional_step, riccati_gains, tracking_error)
-from robokit.errors import ControlError
+                             dwa_window, linearize_dynamics, lqr_backward_pass, lqr_reference,
+                             lqr_track_step, proportional_step, riccati_gains)
+from robokit.errors import CapabilityError, ControlError
 from robokit.geometry import Pose2D
 from robokit.sim import DiffDriveSim
 from robokit.trajectory import (ControlCommand, TimedTrajectory, VelocityLimits,
@@ -104,8 +104,11 @@ def test_riccati_scalar_golden_ratio():
 
 def test_riccati_zero_cost_zero_gain():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0, 0), LIMITS, DT)
-    gains = lqr_backward_pass(traj, LqrParams(q=(0.0, 0.0, 0.0), r=(1.0, 1.0)))
-    assert np.max(np.abs(gains)) == 0.0
+    # a tiny r: R + B'PB = R, whose determinant would underflow to 0
+    for r in ((1.0, 1.0), (1e-300, 1e-300)):
+        gains = lqr_backward_pass(traj, LqrParams(q=(0.0, 0.0, 0.0), r=r))
+        assert gains.shape == (traj.horizon, 2, 3)
+        assert np.max(np.abs(gains)) == 0.0
 
 
 def test_riccati_uniform_scaling_invariance():
@@ -167,37 +170,41 @@ def test_lqr_params_validation():
 
 def _tracking_setup():
     traj = generate_sharp_trajectory(Pose2D(), Pose2D(2, 0, 0), LIMITS, DT)
-    return traj, lqr_backward_pass(traj, LqrParams())
+    return traj, lqr_reference(traj, LqrParams())
 
 
 def test_lqr_track_step_zero_error_returns_feedforward():
-    traj, gains = _tracking_setup()
+    traj, ref = _tracking_setup()
     t = traj.horizon // 2
-    cmd = lqr_track_step(traj.state(t), t, traj, gains, LIMITS)
+    cmd = lqr_track_step(traj.state(t), t, ref, LIMITS)
     assert cmd.v == pytest.approx(traj.controls[t, 0], abs=1e-12)
     assert cmd.omega == pytest.approx(traj.controls[t, 1], abs=1e-12)
 
 
 def test_lqr_track_step_heading_error_sign():
-    traj, gains = _tracking_setup()
+    traj, ref = _tracking_setup()
     t = traj.horizon // 2
-    ref = traj.state(t)
-    state = Pose2D(ref.x, ref.y, ref.theta + 0.1)
-    cmd = lqr_track_step(state, t, traj, gains, LIMITS)
+    pose = traj.state(t)
+    state = Pose2D(pose.x, pose.y, pose.theta + 0.1)
+    cmd = lqr_track_step(state, t, ref, LIMITS)
     assert cmd.omega < 0.0  # command opposes the heading error
 
 
 def test_lqr_track_step_clamps():
-    traj, gains = _tracking_setup()
+    traj, ref = _tracking_setup()
     state = Pose2D(-5.0, 4.0, 2.0)
     for t in range(traj.horizon):
-        cmd = lqr_track_step(state, t, traj, gains, LIMITS)
+        cmd = lqr_track_step(state, t, ref, LIMITS)
         assert abs(cmd.v) <= LIMITS.v_max and abs(cmd.omega) <= LIMITS.omega_max
 
 
-def test_tracking_error_wraps_heading():
-    e = tracking_error(Pose2D(0, 0, math.pi - 0.05), Pose2D(0, 0, -math.pi + 0.05))
-    assert e[2] == pytest.approx(-0.1, abs=1e-12)
+def test_lqr_track_step_wraps_heading_error():
+    # reference heading -pi + 0.05, gain 1 on the heading error only: e = -0.1, not 2pi - 0.1
+    ref = [(0.0, 0.0, -math.pi + 0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)]
+    cmd = lqr_track_step(Pose2D(0, 0, math.pi - 0.05), 0, ref, LIMITS)
+    assert cmd.omega == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(IndexError):
+        lqr_track_step(Pose2D(), 1, ref, LIMITS)
 
 
 # --- proportional ------------------------------------------------------------
@@ -503,6 +510,57 @@ def test_dwa_scores_match_reference(window, state, goal, with_grid):
                 reference_dwa_scores(state, goal, v, w, limits, params, grid))
 
 
+def reference_dwa_pick(v, w, score):
+    """dwa_step's choice as it was: a lexsort of every sample."""
+    if not np.any(np.isfinite(score)):
+        return None
+    best = np.lexsort((v, np.abs(w), -score))[0]
+    return float(v[best]), float(w[best])
+
+
+def _picked(cmd):
+    return None if cmd is None else (cmd.v, cmd.omega)
+
+
+# goals straight ahead of or behind a pose at rest score mirrored samples alike
+symmetric = st.tuples(st.just((0.0, 0.0, 0.0)),
+                      st.sampled_from([(3.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows, st.tuples(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
+                          st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-4, 4)))
+       | symmetric, st.booleans())
+def test_dwa_step_picks_as_lexsort(window, poses, with_grid):
+    from robokit.planning import OccupancyGrid
+    limits, current, dt, params = window
+    state, goal = Pose2D(*poses[0]), Pose2D(*poses[1])
+    grid = None
+    if with_grid:
+        grid = OccupancyGrid.empty(60, 60, 0.1, Pose2D(-3, -3, 0))
+        grid.set_box(0.4, -0.5, 0.8, 0.5)
+    v, w = reference_dwa_window(current, limits, dt, params)
+    want = reference_dwa_pick(v, w, reference_dwa_scores(state, goal, v, w, limits, params, grid))
+    assert _picked(dwa_step(state, current, goal, grid, params, limits, dt)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([LIMITS, VelocityLimits(0.3, 1.0, 1e-300, 1e-310)]),
+       st.floats(0, 0.3), st.floats(-1, 1) | st.just(0.0), st.integers(1, 5), st.integers(1, 7),
+       st.data())
+def test_dwa_step_picks_as_lexsort_on_any_scores(limits, v0, w0, nv, nw, data):
+    # ties, NaN and infinities that real rollouts rarely score, on small windows
+    import robokit.control as control
+    current, dt, params = ControlCommand(v0, w0), DT, DwaParams(samples_v=nv, samples_omega=nw)
+    v, w = dwa_window(current, limits, dt, params)
+    value = st.sampled_from([0.5, 1.0, -math.inf, math.inf, math.nan]) | st.floats(-2, 2)
+    score = np.array(data.draw(st.lists(value, min_size=len(v), max_size=len(v))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control, "dwa_scores", lambda *args: score.copy())
+        cmd = dwa_step(Pose2D(), current, Pose2D(1, 0, 0), None, params, limits, dt)
+    assert _picked(cmd) == reference_dwa_pick(v, w, score)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
        st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-4, 4)),
@@ -524,7 +582,25 @@ def test_lqr_backward_pass_matches_reference(start, goal, kind, limits, dt, q, r
     traj = TimedTrajectory(traj.dt, traj.states + [0.0, 0.0, 2.0 * math.pi * turns],
                            traj.controls)
     params = LqrParams(q, r, qf_scale)
-    _same_bytes(lqr_backward_pass(traj, params), reference_lqr_backward_pass(traj, params))
+    # the pass runs in its own fixed float order and the copy through LAPACK, so they
+    # agree to rounding, scaled by the gains' size
+    got, want = lqr_backward_pass(traj, params), reference_lqr_backward_pass(traj, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+def test_lqr_backward_pass_singular_pivot_raises():
+    from types import SimpleNamespace
+
+    traj = generate_sharp_trajectory(Pose2D(), Pose2D(1, 0.5, 0.3), LIMITS, DT)
+    last = traj.horizon - 1
+    # R + B'PB = 0: no weight on the state or the control
+    zero = SimpleNamespace(q=(0.0, 0.0, 0.0), r=(0.0, 0.0), qf_scale=1.0)
+    with pytest.raises(ControlError, match=f"Riccati step {last}: R \\+ B'PB is singular"):
+        lqr_backward_pass(traj, zero)
+    # Qf = qf_scale * q overflows: an infinite pivot
+    with pytest.raises(ControlError, match=f"Riccati step {last}: .* not finite"):
+        lqr_backward_pass(traj, LqrParams(q=(1e308, 1e308, 1e308), qf_scale=10.0))
 
 
 def test_rate_limiter():
@@ -542,5 +618,5 @@ def test_registry_order_and_laws():
     assert list(CONTROLLERS) == ["lqr", "proportional", "dwa"]
     assert DEFAULT_CONTROLLER == "lqr"
     assert TRACKING_CONTROLLERS == ("lqr", "proportional")
-    with pytest.raises(KeyError, match=r"tracking supports lqr\|proportional"):
+    with pytest.raises(CapabilityError, match=r"tracking supports lqr\|proportional, got 'dwa'"):
         tracking_law("dwa")

@@ -6,15 +6,21 @@ report number on purpose regenerates the manifest in the same commit:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the files whose hashes moved, and why.
+and names the files whose hashes moved, and why. A second test reruns the runs
+whose bytes do not depend on the BLAS kernel under another OpenBLAS kernel.
 """
 
 import hashlib
+import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import robokit
 from robokit.cli import main
 from robokit.config import bundled_config_dir
 
@@ -37,13 +43,24 @@ COMMANDS = (
 )
 
 
+# The runs whose bytes do not depend on the BLAS kernel: their control laws and
+# Riccati pass run in Python floats. `bench arm` still does: the IK solve's
+# np.linalg.solve and the np.linalg.pinv in ArmSim.settle's noise call LAPACK.
+KERNEL_FREE = ("base", "base-lite", "track-lqr", "track-prop")
+
+
 def versions() -> str:
-    return f"python {platform.python_version()}, numpy {np.__version__}"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"{blas['name']} {blas['version']}")
 
 
-def report_hashes(root: Path) -> dict:
-    """Run every command into `root`; sha256 of each file written, keyed by relative path."""
+def report_hashes(root: Path, names=None) -> dict:
+    """Run every command (or those named) into `root`; sha256 of each file written,
+    keyed by relative path."""
     for name, args in COMMANDS:
+        if names is not None and name not in names:
+            continue
         code = main(args + ["--seed", "7", "--label", "fixed", "--out", str(root / name)])
         assert code == 0, f"{' '.join(args)} exited {code}"
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -71,6 +88,25 @@ def test_report_bytes_match_manifest(tmp_path, capsys):
                 + [f"not in manifest: {p}" for p in sorted(got.keys() - expected.keys())])
     assert not problems, ("\n".join(problems)
                           + f"\nmanifest made with {made_with}; this run uses {versions()}")
+
+
+def test_base_and_track_bytes_match_manifest_on_another_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel from the CPU; OPENBLAS_CORETYPE overrides the pick in
+    # the child process only
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(robokit.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    child = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+             "import test_golden as g; "
+             "print(json.dumps(g.report_hashes(Path(sys.argv[2]), g.KERNEL_FREE)))")
+    run = subprocess.run([sys.executable, "-c", child, str(Path(__file__).parent), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    made_with, manifest = read_manifest()
+    expected = {p: d for p, d in manifest.items() if p.split("/")[0] in KERNEL_FREE}
+    differ = sorted(p for p in expected.keys() | got.keys() if expected.get(p) != got.get(p))
+    assert not differ, f"under OPENBLAS_CORETYPE=Haswell, against {made_with}: {differ}"
 
 
 if __name__ == "__main__":

@@ -307,6 +307,15 @@ def test_track_trajectory_log_length(locobot_cfg):
     assert bot.base.track_trajectory(empty, "lqr") == []
 
 
+def test_track_trajectory_rejects_position_only_controller(locobot_cfg):
+    from robokit.trajectory import circle_trajectory
+
+    bot = fresh_robot(locobot_cfg)
+    traj = circle_trajectory(0.4, 0.2, locobot_cfg.base.dt)
+    with pytest.raises(CapabilityError, match=r"tracking supports lqr\|proportional, got 'dwa'"):
+        bot.base.track_trajectory(traj, "dwa")
+
+
 def test_track_trajectory_ends_at_rest(locobot_cfg):
     from robokit.trajectory import circle_trajectory
 
