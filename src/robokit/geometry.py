@@ -94,9 +94,16 @@ def axis_rotation(axis, angle: float) -> np.ndarray:
 
 
 def zyx_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    return (axis_rotation((0.0, 0.0, 1.0), yaw) @ axis_rotation((0.0, 1.0, 0.0), pitch)
-            @ axis_rotation((1.0, 0.0, 0.0), roll))
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll), in closed form: with c*, s* the cosine and
+    sine of each angle, the rows are (cy·cp, (cy·sp)·sr - sy·cr, (cy·sp)·cr + sy·sr),
+    (sy·cp, (sy·sp)·sr + cy·cr, (sy·sp)·cr - cy·sr) and (-sp, cp·sr, cp·cr)."""
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
+    cs, ss = cy * sp, sy * sp
+    return np.array([[cy * cp, cs * sr - sy * cr, cs * cr + sy * sr],
+                     [sy * cp, ss * sr + cy * cr, ss * cr - cy * sr],
+                     [-sp, cp * sr, cp * cr]])
 
 
 def zyx_from_matrix(m) -> tuple[float, float, float]:

@@ -9,8 +9,11 @@ end-effector adds one more fixed transform, so
 
     T(q) = fixed_0 · R_0(q_0) · fixed_1 · R_1(q_1) · ... · tool
 
-All public functions are pure and reentrant. The hot path (FK + Jacobian
-inside the IK loop) runs on per-joint arrays each chain builds once.
+All public functions are pure and reentrant. The hot path (FK, the Jacobian
+and the IK residual inside the solve) runs on Python floats in a fixed order,
+written down in `_frames_fast` and `_Solve.errors`, over per-joint float tuples
+each chain builds once; numpy is used only to build the arrays it returns and
+for the DLS solve.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Bounded, IkConvergenceError, bounded, positive
-from .geometry import SE3, TWO_PI, rotation_vector, skew, zyx_matrix
+from .geometry import SE3, TWO_PI, rotation_vector, zyx_matrix
 
 # orientation weight balancing rad against m in the DLS error vector
 _ORI_WEIGHT = 0.5
@@ -84,17 +87,15 @@ class KinematicChain:
 
     @cached_property
     def _links(self) -> tuple:
-        """Per joint: origin rotation and translation, axis, its skew matrix K and K @ K."""
-        links = []
-        for j in self.joints:
-            a = np.asarray(j.axis, dtype=float)
-            k = skew(a)
-            links.append((j.origin.R, j.origin.translation, a, k, k @ k))
-        return tuple(links)
+        """What `_frames_fast` reads, as Python floats: per joint its origin rotation
+        (9 floats, row-major; None for the identity), origin translation and axis,
+        then the tool's rotation and translation likewise."""
+        def frame(f: SE3) -> tuple:
+            return (None if np.array_equal(f.R, _I3) else tuple(f.R.ravel().tolist()),
+                    tuple(f.translation.tolist()))
 
-    @cached_property
-    def _tool_rt(self) -> tuple:
-        return self.tool.R, self.tool.translation
+        return (tuple(frame(j.origin) + (tuple(float(a) for a in j.axis),) for j in self.joints),
+                frame(self.tool))
 
     @cached_property
     def closed_form_layout(self) -> tuple[float, float, float, float] | None:
@@ -133,38 +134,98 @@ class IkParams(Bounded):
     restarts: int = bounded(3)
 
 
-def _frames_fast(chain: KinematicChain, q: np.ndarray):
-    """World axis directions and origins per joint plus the (R, t) of the tool frame."""
-    R, t = _I3, np.zeros(3)
-    world_axes = np.empty((chain.dof, 3))
-    world_origins = np.empty((chain.dof, 3))
-    for i, ((Ro, to, axis, K, K2), qi) in enumerate(zip(chain._links, q)):
-        t = t + R @ to
-        R = R @ Ro
-        world_axes[i] = R @ axis
-        world_origins[i] = t
-        R = R @ (_I3 + math.sin(qi) * K + (1.0 - math.cos(qi)) * K2)
-    Rt, tt = chain._tool_rt
-    return world_axes, world_origins, R @ Rt, t + R @ tt
+def _mul(A: tuple, B: tuple) -> tuple:
+    """A @ B of two row-major 3x3 float tuples; each entry sums its three products
+    left to right."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B
+    return (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22)
 
 
-def _linear_rows(axes: np.ndarray, origins: np.ndarray, t_ee: np.ndarray) -> np.ndarray:
-    """The Jacobian's linear-velocity rows (3 x dof): axis x (tool origin - joint origin)."""
-    return np.cross(axes, t_ee[None, :] - origins).T
+def _apply(R: tuple, v: tuple) -> tuple:
+    """R @ v for a row-major 3x3 float tuple; each entry sums left to right."""
+    x, y, z = v
+    return (R[0] * x + R[1] * y + R[2] * z, R[3] * x + R[4] * y + R[5] * z,
+            R[6] * x + R[7] * y + R[8] * z)
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _frames_fast(chain: KinematicChain, q) -> tuple:
+    """World axis directions and origins per joint (lists of float 3-tuples), then
+    the tool frame's rotation (9 floats, row-major) and origin, for joint values
+    `q` given as Python floats.
+
+    From R = I and t = 0, each joint in turn, with (Ro, to) its origin and a its axis:
+      1. t <- t + R to, then R <- R Ro (skipped where Ro is the identity);
+      2. its world axis is R a and its world origin t;
+      3. R <- R Rot(a, q_i), where with c, s = cos q_i, sin q_i and C = 1 - c,
+         Rot = c I + s [a]x + C a a' entry by entry: diagonal c + (C a_i) a_i,
+         off-diagonal (C a_i) a_j -/+ s a_k as the cross-product sign gives.
+    The tool then gives t + R tt and R Rt (the product skipped for an identity Rt).
+    Every product R x sums its three terms left to right (`_mul`, `_apply`).
+    """
+    links, (Rt, tt) = chain._links
+    R, (t0, t1, t2) = _IDENTITY, (0.0, 0.0, 0.0)
+    axes, origins = [], []
+    for (Ro, to, (ax, ay, az)), qi in zip(links, q):
+        u0, u1, u2 = _apply(R, to)
+        t0, t1, t2 = t0 + u0, t1 + u1, t2 + u2
+        if Ro is not None:
+            R = _mul(R, Ro)
+        axes.append(_apply(R, (ax, ay, az)))
+        origins.append((t0, t1, t2))
+        c, s = math.cos(qi), math.sin(qi)
+        C = 1.0 - c
+        cx, cy, cz = C * ax, C * ay, C * az
+        sx, sy, sz = s * ax, s * ay, s * az
+        cxy, cxz, cyz = cx * ay, cx * az, cy * az
+        R = _mul(R, (c + cx * ax, cxy - sz, cxz + sy,
+                     cxy + sz, c + cy * ay, cyz - sx,
+                     cxz - sy, cyz + sx, c + cz * az))
+    u0, u1, u2 = _apply(R, tt)
+    return axes, origins, (R if Rt is None else _mul(R, Rt)), (t0 + u0, t1 + u1, t2 + u2)
+
+
+def _linear_columns(axes: list, origins: list, t_ee: tuple) -> list:
+    """The Jacobian's linear-velocity entries per joint: axis x (tool origin - joint
+    origin), each component a1*d2 - a2*d1 and so on, as np.cross computes it."""
+    x, y, z = t_ee
+    return [(a1 * (z - o2) - a2 * (y - o1), a2 * (x - o0) - a0 * (z - o2),
+             a0 * (y - o1) - a1 * (x - o0))
+            for (a0, a1, a2), (o0, o1, o2) in zip(axes, origins)]
+
+
+def _log_map(m: tuple) -> tuple:
+    """`rotation_vector` of a row-major float rotation, on floats: the same branches
+    and the same arithmetic, except that within 1e-6 of π it calls `rotation_vector`."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    tr = min(3.0, max(-1.0, m00 + m11 + m22))
+    angle = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
+    if angle > math.pi - 1e-6:
+        return tuple(rotation_vector(np.array(m).reshape(3, 3)).tolist())
+    f = 0.5 if angle < 1e-9 else angle / (2.0 * math.sin(angle))
+    return f * (m21 - m12), f * (m02 - m20), f * (m10 - m01)
 
 
 def forward_kinematics(chain: KinematicChain, q) -> SE3:
     """Pose of the tool frame in the chain base frame."""
     q = chain.check_dimension(q)
-    _, _, R, t = _frames_fast(chain, q)
-    return SE3(t, R)
+    _, _, R, t = _frames_fast(chain, q.tolist())
+    return SE3(t, np.array(R).reshape(3, 3))
 
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric Jacobian (6 x dof) at the end-effector origin: rows 0-2 linear, 3-5 angular."""
     q = chain.check_dimension(q)
-    axes, origins, _, t_ee = _frames_fast(chain, q)
-    return np.vstack([_linear_rows(axes, origins, t_ee), axes.T])
+    axes, origins, _, t_ee = _frames_fast(chain, q.tolist())
+    return np.array([*zip(*_linear_columns(axes, origins, t_ee)), *zip(*axes)])
 
 
 # far-field stall detection: give up on a basin only when the combined error is
@@ -182,20 +243,32 @@ class _Solve:
         self.position_only = position_only
         self.lo, self.hi = chain.lower_limits, chain.upper_limits
         self.mid = 0.5 * (self.lo + self.hi)
-        self.Rt = None if position_only else target.R
-        self.pt = np.asarray(target.translation, dtype=float)
+        self.Rt = None if position_only else tuple(target.R.ravel().tolist())
+        self.pt = tuple(target.translation.tolist())
         self.lam2 = params.damping ** 2
         self.best = (math.inf, math.inf)
         self.iterations = 0
 
     def errors(self, q):
-        axes, origins, R_ee, t_ee = _frames_fast(self.chain, q)
-        dp = self.pt - t_ee
-        ep = math.sqrt(dp @ dp)
+        """Residuals at joint values `q` (Python floats): the world axes, world origins
+        and tool origin of `_frames_fast`, the position error dp = target - tool origin
+        and its norm ep, and the orientation error dori (the rotation vector of
+        Rt R_eeᵀ) and its norm eo; dori is None and eo 0.0 on a position-only solve.
+
+        In floats, in this order: dp component by component; ep = sqrt(dp0² + dp1² +
+        dp2²) summed left to right; M = Rt R_eeᵀ, each entry summed left to right;
+        dori = `_log_map(M)`; eo from dori as ep from dp.
+        """
+        axes, origins, R, t_ee = _frames_fast(self.chain, q)
+        (px, py, pz), (x, y, z) = self.pt, t_ee
+        dp = (px - x, py - y, pz - z)
+        ep = math.sqrt(dp[0] * dp[0] + dp[1] * dp[1] + dp[2] * dp[2])
         if self.position_only:
             return axes, origins, t_ee, dp, ep, None, 0.0
-        dori = rotation_vector(self.Rt @ R_ee.T)
-        return axes, origins, t_ee, dp, ep, dori, math.sqrt(dori @ dori)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        dori = _log_map(_mul(self.Rt, (r00, r10, r20, r01, r11, r21, r02, r12, r22)))
+        return (axes, origins, t_ee, dp, ep, dori,
+                math.sqrt(dori[0] * dori[0] + dori[1] * dori[1] + dori[2] * dori[2]))
 
     def converged(self, ep, eo):
         return (ep <= self.params.position_tolerance
@@ -206,8 +279,8 @@ class _Solve:
         p = self.params
         best_tot, best_it = math.inf, 0
         for it in range(iters):
-            axes, origins, t_ee, dp, ep, dori, eo = self.errors(q)
-            J = _linear_rows(axes, origins, t_ee)
+            axes, origins, t_ee, dp, ep, dori, eo = self.errors(q.tolist())
+            rows = [*zip(*_linear_columns(axes, origins, t_ee))]
             if position_only:
                 if ep <= p.position_tolerance:
                     return q, True
@@ -215,8 +288,10 @@ class _Solve:
             else:
                 if self.converged(ep, eo):
                     return q, True
-                J = np.vstack([J, _ORI_WEIGHT * axes.T])
-                err = np.concatenate([dp, _ORI_WEIGHT * dori])
+                rows += zip(*[(_ORI_WEIGHT * a0, _ORI_WEIGHT * a1, _ORI_WEIGHT * a2)
+                              for a0, a1, a2 in axes])
+                err = dp + (_ORI_WEIGHT * dori[0], _ORI_WEIGHT * dori[1], _ORI_WEIGHT * dori[2])
+            J, err = np.array(rows), np.array(err)
             if (ep, eo) < self.best:
                 self.best = (ep, eo)
             tot = ep + eo
@@ -232,7 +307,7 @@ class _Solve:
                 dq *= p.step_clamp / step
             q = np.clip(q + dq, self.lo, self.hi)
             self.iterations += 1
-        _, _, _, _, ep, _, eo = self.errors(q)
+        _, _, _, _, ep, _, eo = self.errors(q.tolist())
         if (ep, eo) < self.best:
             self.best = (ep, eo)
         return q, self.converged(ep, eo) if not position_only else ep <= p.position_tolerance
@@ -275,55 +350,76 @@ _ON_AXIS = 1e-9
 _LIMIT_SLACK = 1e-7
 
 
-def _closed_form(chain: KinematicChain, target: SE3, seed: np.ndarray) -> np.ndarray:
+def _closed_form(chain: KinematicChain, target: SE3, seed: list) -> list:
     """Exact solutions for a `closed_form_layout` chain (Pieper: the wrist centre
-    decouples position from orientation), one per row, nearest `seed` (L2) first.
+    decouples position from orientation), one list of joint values (Python
+    floats) each, nearest `seed` first.
 
     The waist faces the wrist centre or away from it; with the wrist centre on
     the waist axis, it faces along the approach (tool x) or against it. With
     both vertical (pitch ±π/2), the target fixes only waist ∓ roll, and
     `_nearest_on_family` takes the points of that family nearest the seed.
-    Each waist has an elbow-up and an elbow-down branch. Each joint takes the
-    2π wrap nearest the seed inside its limits (widened by _LIMIT_SLACK, then
-    clipped), and a row with a joint that no wrap fits is dropped. Rows are not
-    checked against the target: an unreachable target still yields rows.
+    Each waist has an elbow-up and an elbow-down branch. Each joint then takes
+    the 2π wrap nearest the seed inside its limits, and a row with a joint that
+    no wrap fits is dropped (`_wrapped_nearest_first`). Rows are not checked
+    against the target: an unreachable target still yields rows.
     """
     h, l1, l2, d = chain.closed_form_layout
-    R = target.R
-    w = target.translation - d * R[:, 0]
-    if math.hypot(w[0], w[1]) >= _ON_AXIS:
-        a = math.atan2(w[1], w[0])
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = target.R.ravel().tolist()
+    tx, ty, tz = target.translation.tolist()
+    wx, wy, wz = tx - d * r00, ty - d * r10, tz - d * r20
+    if math.hypot(wx, wy) >= _ON_AXIS:
+        a = math.atan2(wy, wx)
         waists = (a, a + math.pi)
-    elif math.hypot(R[0, 0], R[1, 0]) >= _ON_AXIS:
-        a = math.atan2(R[1, 0], R[0, 0])
+    elif math.hypot(r00, r10) >= _ON_AXIS:
+        a = math.atan2(r10, r00)
         waists = (a, a + math.pi)
     else:
         waists = (seed[0],)
-    z = w[2] - h
-    c2 = (w[0] ** 2 + w[1] ** 2 + z * z - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    z = wz - h
+    c2 = (wx * wx + wy * wy + z * z - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     elbow = math.acos(min(1.0, max(-1.0, c2)))
     rows = []
     for q0 in waists:
         c, s = math.cos(q0), math.sin(q0)
         # Rz(q0)ᵀ R = Ry(pitch) Rx(roll): pitch from its column 0, roll from its row 1
-        pitch = math.atan2(-R[2, 0], c * R[0, 0] + s * R[1, 0])
-        roll = math.atan2(s * R[0, 2] - c * R[1, 2], c * R[1, 1] - s * R[0, 1])
-        reach = c * w[0] + s * w[1]
+        pitch = math.atan2(-r20, c * r00 + s * r10)
+        roll = math.atan2(s * r02 - c * r12, c * r11 - s * r01)
+        reach = c * wx + s * wy
         for q2 in (elbow, -elbow):
             q1 = math.atan2(reach, z) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
             rows.append((q0, q1, q2, pitch - q1 - q2, roll))
-    q = np.array(rows)
     if len(waists) == 1:
-        q = _nearest_on_family(chain, q, seed, -math.copysign(1.0, R[2, 0]))
-    lo, hi = chain.lower_limits - _LIMIT_SLACK, chain.upper_limits + _LIMIT_SLACK
-    k = np.clip(np.round((seed - q) / TWO_PI), np.ceil((lo - q) / TWO_PI),
-                np.floor((hi - q) / TWO_PI))
-    q += TWO_PI * k
-    q = chain.clamp(q[np.all((q >= lo) & (q <= hi), axis=1)])
-    return q[np.argsort(np.linalg.norm(q - seed, axis=1), kind="stable")]
+        rows = _nearest_on_family(chain, np.array(rows), seed, -math.copysign(1.0, r20)).tolist()
+    return _wrapped_nearest_first(chain, rows, seed)
 
 
-def _nearest_on_family(chain: KinematicChain, rows: np.ndarray, seed: np.ndarray,
+def _wrapped_nearest_first(chain: KinematicChain, rows: list, seed: list) -> list:
+    """`rows` with each joint moved by the 2π wrap nearest `seed` inside its limits
+    widened by _LIMIT_SLACK, x + 2π·k with k = round((seed - x) / 2π) (half to even)
+    clipped to [ceil((lo - x) / 2π), floor((hi - x) / 2π)]; a row with a joint that
+    no wrap fits is dropped, and the rest are clipped onto the limits and sorted by
+    their L2 distance to the seed, its squares summed left to right, ties in row
+    order."""
+    lower, upper = chain.lower_limits.tolist(), chain.upper_limits.tolist()
+    lo, hi = [x - _LIMIT_SLACK for x in lower], [x + _LIMIT_SLACK for x in upper]
+    out = []
+    for row in rows:
+        q = []
+        for x, s, a, b in zip(row, seed, lo, hi):
+            v = (s - x) / TWO_PI
+            if not (a <= x <= b and -0.5 <= v <= 0.5):   # else k = 0
+                x += TWO_PI * min(max(round(v), math.ceil((a - x) / TWO_PI)),
+                                  math.floor((b - x) / TWO_PI))
+                if not a <= x <= b:
+                    break
+            q.append(x)
+        else:
+            out.append([min(max(x, a), b) for x, a, b in zip(q, lower, upper)])
+    return sorted(out, key=lambda q: math.sqrt(sum((x - s) * (x - s) for x, s in zip(q, seed))))
+
+
+def _nearest_on_family(chain: KinematicChain, rows: np.ndarray, seed: list,
                        s: float) -> np.ndarray:
     """`rows` (all at the seed's waist) moved in (waist, roll) onto the family that
     keeps waist - s·roll modulo 2π (s = sin(pitch) = ±1), at the points nearest
@@ -380,26 +476,27 @@ def inverse_kinematics(
     """
     params = params or IkParams()
     seed = chain.check_dimension(seed)
-    if not np.all(np.isfinite(seed)):
+    if not all(map(math.isfinite, seed.tolist())):
         raise ValueError(f"inverse_kinematics: seed must be finite, got {seed}")
-    if not (np.all(np.isfinite(target.translation)) and np.all(np.isfinite(target.R))):
+    if not all(map(math.isfinite, target.translation.tolist() + target.R.ravel().tolist())):
         raise ValueError(f"inverse_kinematics: target must be finite, got t={target.translation}")
     q0 = chain.clamp(seed)
     solver = _Solve(chain, target, params, position_only)
 
     # a solved seed short-circuits before any iteration
-    _, _, _, _, ep, _, eo = solver.errors(q0)
+    seed_floats = q0.tolist()
+    _, _, _, _, ep, _, eo = solver.errors(seed_floats)
     if solver.converged(ep, eo):
         return q0
 
     if not position_only and chain.closed_form_layout is not None:
-        rows = _closed_form(chain, target, q0)
+        rows = _closed_form(chain, target, seed_floats)
         for q in rows:
             _, _, _, _, ep, _, eo = solver.errors(q)
             if solver.converged(ep, eo):
-                return q
+                return np.array(q)
         if _beyond_reach(chain, target, params):
-            _, _, _, _, ep, _, eo = solver.errors(rows[0] if len(rows) else q0)
+            _, _, _, _, ep, _, eo = solver.errors(rows[0] if rows else seed_floats)
             raise IkConvergenceError(ep, eo, 0)
 
     rng = np.random.default_rng(rng_seed)

@@ -181,6 +181,13 @@ def test_zyx_roundtrip():
         assert abs(angle_diff(got[2], roll)) < 1e-9
 
 
+@given(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))
+def test_zyx_matrix_is_the_axis_rotation_product(yaw, pitch, roll):
+    R = (axis_rotation((0.0, 0.0, 1.0), yaw) @ axis_rotation((0.0, 1.0, 0.0), pitch)
+         @ axis_rotation((1.0, 0.0, 0.0), roll))
+    assert np.max(np.abs(zyx_matrix(yaw, pitch, roll) - R)) <= 1e-15
+
+
 def test_pose_error_zero_for_identical():
     t = SE3((1, 2, 3), axis_rotation((0, 0, 1), 0.5))
     dp, dori = pose_error(t, t)

@@ -44,8 +44,13 @@ COMMANDS = (
 
 
 # The runs whose bytes do not depend on the BLAS kernel: their control laws and
-# Riccati pass run in Python floats. `bench arm` still does: the IK solve's
-# np.linalg.solve and the np.linalg.pinv in ArmSim.settle's noise call LAPACK.
+# Riccati pass run in Python floats. `bench arm` still does, in its three
+# repeatability.csv files (its summary.txt files round the difference away).
+# Forward kinematics, the Jacobian and the IK residual run in Python floats, but
+# the position-only IK's DLS step calls np.linalg.solve and ArmSim.settle's noise
+# calls np.linalg.pinv, both LAPACK; under the Sandybridge and Prescott kernels the
+# DLS step's J Jᵀ product differs too. The pinv stays: sawyer_sim's position
+# Jacobian at home has rank 2, and every repetition settles there with noise.
 KERNEL_FREE = ("base", "base-lite", "track-lqr", "track-prop")
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from robokit import kinematics
 from robokit.config import load_config
 from robokit.errors import IkConvergenceError
-from robokit.geometry import SE3, axis_rotation, pose_error
+from robokit.geometry import SE3, axis_rotation, pose_error, rotation_vector, skew
 from robokit.kinematics import (IkParams, Joint, KinematicChain, forward_kinematics,
                                 inverse_kinematics, jacobian, pose_from_pitch_roll)
 
@@ -38,6 +38,28 @@ def random_chain(rng, dof=None):
         origin = SE3(offset, axis_rotation(tilt / np.linalg.norm(tilt), rng.uniform(-1, 1)))
         joints.append(Joint(f"j{i}", origin, tuple(axis), -2.5, 2.5))
     return KinematicChain(tuple(joints), SE3(rng.uniform(-0.1, 0.1, 3)))
+
+
+def reference_frames(chain, q):
+    """`kinematics._frames_fast` as it stood before FK moved to Python floats, kept
+    verbatim as the referee: 3x3 matrix products on per-joint arrays, with every
+    joint origin and the tool multiplied in, identity or not."""
+    links = []
+    for j in chain.joints:
+        a = np.asarray(j.axis, dtype=float)
+        k = skew(a)
+        links.append((j.origin.R, j.origin.translation, a, k, k @ k))
+    I3 = np.eye(3)
+    R, t = I3, np.zeros(3)
+    world_axes = np.empty((chain.dof, 3))
+    world_origins = np.empty((chain.dof, 3))
+    for i, ((Ro, to, axis, K, K2), qi) in enumerate(zip(links, q)):
+        t = t + R @ to
+        R = R @ Ro
+        world_axes[i] = R @ axis
+        world_origins[i] = t
+        R = R @ (I3 + math.sin(qi) * K + (1.0 - math.cos(qi)) * K2)
+    return world_axes, world_origins, R @ chain.tool.R, t + R @ chain.tool.translation
 
 
 def numeric_jacobian(chain, q, h=1e-6):
@@ -114,6 +136,70 @@ def test_jacobian_matches_finite_differences_random_chains():
         J = jacobian(chain, q)
         Jn = numeric_jacobian(chain, q)
         assert np.max(np.abs(J - Jn)) < 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_fk_and_jacobian_match_matrix_product_reference(seed, unrotated):
+    # random joint origins and tool, each rotated or not: the float path skips the
+    # identity rotations, and must multiply in every other one
+    rng = np.random.default_rng(seed)
+    chain = random_chain(rng)
+    tool_tilt = rng.normal(size=3)
+    joints = tuple(dataclasses.replace(j, origin=SE3(j.origin.translation)) if flat else j
+                   for j, flat in zip(chain.joints, unrotated))
+    tool = SE3(chain.tool.translation,
+               None if unrotated[-1] else axis_rotation(tool_tilt / np.linalg.norm(tool_tilt),
+                                                         rng.uniform(-3, 3)))
+    chain = KinematicChain(joints, tool)
+    q = rng.uniform(-6.0, 6.0, chain.dof)
+    axes, origins, R, t = reference_frames(chain, q)
+    J_ref = np.vstack([np.cross(axes, t[None, :] - origins).T, axes.T])
+    fk, J = forward_kinematics(chain, q), jacobian(chain, q)
+    for got, ref in ((fk.R, R), (fk.translation, t), (J, J_ref)):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+# log-map angles of the residual rotation: the small-angle branch (below 1e-9),
+# the general branch, and the near-π branch (within 1e-6 of π)
+RESIDUAL_ANGLES = (0.0, 1e-12, 5e-10, 1e-6, 0.5, 2.0, 3.0, math.pi - 1e-4, math.pi - 1e-7,
+                   math.pi - 1e-9)
+
+
+@pytest.mark.parametrize("angle", RESIDUAL_ANGLES)
+def test_ik_residual_matches_pose_error(angle):
+    cfg = config("locobot")
+    rng = np.random.default_rng(int(angle * 1e6))
+    for chain in (cfg.chain, random_chain(rng)):
+        for _ in range(20):
+            q = rng.uniform(chain.lower_limits, chain.upper_limits)
+            actual = forward_kinematics(chain, q)
+            axis = rng.normal(size=3)
+            target = SE3(actual.translation + rng.uniform(-0.1, 0.1, 3),
+                         axis_rotation(axis / np.linalg.norm(axis), angle) @ actual.R)
+            dp_ref, dori_ref = pose_error(target, actual)
+            _, _, _, dp, ep, dori, eo = kinematics._Solve(chain, target, cfg.ik, False).errors(
+                q.tolist())
+            assert np.array_equal(dp, dp_ref)   # the same FK floats, one subtraction each
+            assert ep == pytest.approx(np.linalg.norm(dp_ref), rel=1e-15)
+            # Rt R_eeᵀ differs from numpy's product by a few 1e-16. The log map takes its
+            # angle from acos of the trace, which amplifies that by about 1/δ² at δ
+            # below π, and to about its square root within 1e-6 of π
+            delta = math.pi - angle
+            tol = 1e-7 if delta <= 1e-6 else max(1e-13, 4e-15 / delta ** 2)
+            assert np.max(np.abs(np.subtract(dori, dori_ref))) <= tol
+            assert eo == pytest.approx(np.linalg.norm(dori_ref), abs=tol)
+
+
+@pytest.mark.parametrize("angle", RESIDUAL_ANGLES + (math.pi,))
+def test_log_map_is_rotation_vector(angle):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        axis = rng.normal(size=3)
+        R = axis_rotation(axis / np.linalg.norm(axis), angle)
+        got = kinematics._log_map(tuple(R.ravel().tolist()))
+        assert got == tuple(rotation_vector(R).tolist())
 
 
 def test_ik_solved_seed_returns_unchanged():
@@ -279,6 +365,41 @@ def test_closed_form_wrist_centre_on_waist_axis(name):
         assert sol[0] == pytest.approx(waist, abs=1e-12)
         dp, dori = pose_error(target, forward_kinematics(chain, sol))
         assert np.linalg.norm(dp) <= 1e-6 and np.linalg.norm(dori) <= 1e-6
+
+
+def reference_wrap(chain, q, seed):
+    """The wrap, limit filter and sort that ended `kinematics._closed_form` before
+    they moved to Python floats, kept verbatim as the referee."""
+    lo, hi = chain.lower_limits - kinematics._LIMIT_SLACK, chain.upper_limits + kinematics._LIMIT_SLACK
+    k = np.clip(np.round((seed - q) / kinematics.TWO_PI), np.ceil((lo - q) / kinematics.TWO_PI),
+                np.floor((hi - q) / kinematics.TWO_PI))
+    q += kinematics.TWO_PI * k
+    q = chain.clamp(q[np.all((q >= lo) & (q <= hi), axis=1)])
+    return q[np.argsort(np.linalg.norm(q - seed, axis=1), kind="stable")]
+
+
+def _widened(chain):
+    """The chain with every joint range wider than 2π, so that a joint can take
+    two wraps inside its limits."""
+    return KinematicChain(tuple(dataclasses.replace(j, lower=-7.0, upper=5.0)
+                                for j in chain.joints), chain.tool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(),
+       st.lists(st.tuples(*[st.floats(-12.0, 12.0)] * 5), min_size=1, max_size=6),
+       st.tuples(*[st.floats(-7.0, 5.0)] * 5))
+@example(False, [(3.0 * math.pi, 0.5, -0.5, 1.0, -math.pi)], (0.0, 0.0, 0.0, 0.0, 0.0))
+@example(False, [(0.0, 1.85 + 5e-8, -2.62 - 5e-8, 0.0, 0.0)], (0.0, 0.0, 0.0, 0.0, 0.0))
+def test_wrapped_nearest_first_matches_array_reference(wide, rows, seed):
+    # from a zero seed, 3π and -π sit at k = -1.5 and 0.5, which round half to even;
+    # 5e-8 past a limit is inside _LIMIT_SLACK and is clipped onto the limit
+    chain = config("locobot").chain
+    if wide:
+        chain = _widened(chain)
+    seed = chain.clamp(seed)
+    got = kinematics._wrapped_nearest_first(chain, rows, seed.tolist())
+    assert np.array_equal(np.array(got).reshape(-1, 5), reference_wrap(chain, np.array(rows), seed))
 
 
 def _moved(chain, index, **changes):
